@@ -75,11 +75,9 @@ func main() {
 			"multiply every workload's trace length (accesses) by this factor (sweep-scale traces for -sample-report; the committed numbers use 32)")
 
 		windows = flag.Int("windows", 0,
-			"parallel windowed replay: split every replay into this many chunks run concurrently (0 or 1 = off; exact unless -windows-warm)")
-		windowsWarm = flag.Bool("windows-warm", false,
-			"windowed replay reconstructs chunk-boundary state by functional warmup instead of checkpoints (approximate, no checkpoint cache)")
+			"parallel windowed replay: split every replay into this many chunks run concurrently (0 or 1 = off); bit-identical to unwindowed replay")
 		ckptCache = flag.String("checkpoint-cache", "",
-			"directory for caching MOSCKPT01 window-boundary checkpoints across runs (exact windowed replay)")
+			"directory for caching MOSCKPT01 window-boundary checkpoints across runs (windowed replay)")
 
 		adaptive = flag.Bool("adaptive", false,
 			"plan the sweep adaptively: probe every layout cheaply, promote only high-uncertainty layouts to exact replay")
@@ -158,7 +156,6 @@ func main() {
 	app.runner.TraceDir = *traceDir
 	app.runner.Sampling = buildSampling(*samplePeriod, *sampleWindow, *sampleWarmup, *samplePrologue)
 	app.runner.Windows = *windows
-	app.runner.WindowWarm = *windowsWarm
 	app.runner.CheckpointDir = *ckptCache
 	app.svgDir = *svgDir
 	app.stretch = max(1, *stretch)

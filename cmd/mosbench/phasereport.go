@@ -73,7 +73,6 @@ func (b *bench) phaseReport(s sim.Sampling, jsonOut bool) error {
 		r.TraceDir = dir
 		r.Sampling = sampling
 		r.Windows = b.runner.Windows
-		r.WindowWarm = b.runner.WindowWarm
 		r.CheckpointDir = b.runner.CheckpointDir
 		b.runner = r // progressLine reads coverage off the active runner
 		dss, err := r.CollectAll(b.workloads, b.platforms, b.progressLine)

@@ -50,6 +50,15 @@ type Machine struct {
 	// walkerFree holds, per hardware walker, the cycle at which it next
 	// becomes available.
 	walkerFree []float64
+
+	// The in-flight replay state, carried by checkpoints: run is the clock
+	// and run counters; under sampled accounting sums accumulates the
+	// measurement windows' component-stat deltas and base holds the open
+	// window's starting stats.
+	run     runState
+	sampled bool
+	sums    statSnap
+	base    statSnap
 }
 
 // New builds a machine of the given platform over the given address space.
@@ -99,6 +108,7 @@ func (m *Machine) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 	for i := range m.walkerFree {
 		m.walkerFree[i] = 0
 	}
+	m.Begin(false)
 	return nil
 }
 
@@ -132,9 +142,8 @@ func (b Breakdown) Total() float64 {
 	return b.Base + b.TLBHit + b.WalkStall + b.WalkQueue + b.DataStall
 }
 
-// runState is one replay's in-flight model state, kept separate from the
-// Machine so the fused batch kernel (RunBatch) can advance many machines
-// through the same trace block by block.
+// runState is one replay's in-flight model state: the clock and the
+// counters the replay loop accumulates itself.
 type runState struct {
 	now          float64 // runtime clock, cycles
 	walkCycles   uint64  // the C counter: busy cycles summed per walker
@@ -157,28 +166,26 @@ const invRateTau = 1 / rateTau
 // Run replays the trace and returns the resulting performance counters.
 // It errors if any access touches unmapped memory.
 func (m *Machine) Run(tr *trace.Trace) (pmu.Counters, error) {
-	ctr, _, err := m.runTrace(tr)
+	ctr, _, err := m.RunDetailed(tr)
 	return ctr, err
 }
 
 // RunDetailed is Run plus the runtime breakdown.
 func (m *Machine) RunDetailed(tr *trace.Trace) (pmu.Counters, Breakdown, error) {
-	return m.runTrace(tr)
-}
-
-func (m *Machine) runTrace(tr *trace.Trace) (pmu.Counters, Breakdown, error) {
-	var st runState
+	m.Begin(false)
 	cols := tr.Columns()
-	if err := m.replayRange(tr.Name, &st, cols, 0, cols.Len()); err != nil {
+	if err := m.Measure(tr.Name, cols, 0, cols.Len()); err != nil {
 		return pmu.Counters{}, Breakdown{}, err
 	}
-	return m.counters(&st), st.bd, nil
+	ctr, _ := m.Harvest()
+	return ctr, m.run.bd, nil
 }
 
 // FaultError reports an access or page-walk fault during replay: the trace
-// touched memory the layout never mapped. It is built with plain field
-// stores on the (run-aborting) fault path and formats itself lazily,
-// keeping fmt's variadic boxing out of the replay kernels.
+// touched memory the layout never mapped. The partial simulator reports its
+// faults with the same type. It is built with plain field stores on the
+// (run-aborting) fault path and formats itself lazily, keeping fmt's
+// variadic boxing out of the replay kernels.
 type FaultError struct {
 	Trace string
 	Index int    // access index within the trace (access faults only)
@@ -193,12 +200,6 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("cpu: %s: access %d faults at %#x", e.Trace, e.Index, e.VA)
 }
 
-// FuseBlock is the number of accesses a fused batch replays per machine
-// before advancing to the next machine: large enough to amortize the
-// per-machine switch, small enough that the block's trace columns (~50KB)
-// stay cache-resident while every machine in the batch streams them.
-const FuseBlock = 262144
-
 // statSnap captures the cumulative component counters a replay cannot
 // accumulate in its own loop (the walker's cache loads happen inside
 // walker.Walk). A sampled replay snapshots them at every measurement-window
@@ -212,120 +213,47 @@ func (m *Machine) snapStats() statSnap {
 	return statSnap{tlb: m.tlb.Counts(), hier: m.hier.Stats()}
 }
 
-// sampleSums accumulates the component-stat deltas of a sampled replay's
-// measurement windows: warmup and skipped accesses contribute nothing here,
-// which is exactly what makes windowed counters extrapolatable.
-type sampleSums struct {
-	tlb  tlb.Counts
-	hier cache.Stats
+// Begin starts a replay from the machine's current component state: it
+// zeroes the clock and the run counters, and selects window-delta stat
+// accounting when sampled — the component counters then come from the
+// OpenWindow/CloseWindow deltas only, so warmup and skipped accesses
+// contribute nothing, which is what makes windowed counters
+// extrapolatable. With full coverage that accounting is bit-identical to
+// the exact counters.
+func (m *Machine) Begin(sampled bool) {
+	m.run = runState{}
+	m.sums = statSnap{}
+	m.sampled = sampled
 }
 
-func (s *sampleSums) accumulate(from, to statSnap) {
-	s.tlb = s.tlb.Add(to.tlb.Sub(from.tlb))
-	s.hier = s.hier.Add(to.hier.Sub(from.hier))
+// OpenWindow marks the start of a measurement window under sampled
+// accounting.
+func (m *Machine) OpenWindow() { m.base = m.snapStats() }
+
+// CloseWindow attributes the component-stat deltas since OpenWindow to the
+// replay.
+func (m *Machine) CloseWindow() {
+	now := m.snapStats()
+	m.sums.tlb = m.sums.tlb.Add(now.tlb.Sub(m.base.tlb))
+	m.sums.hier = m.sums.hier.Add(now.hier.Sub(m.base.hier))
 }
 
-// RunSampled replays the trace under a systematic-sampling plan: accesses
-// in measurement windows replay through the full timing model, warmup
-// windows advance model state functionally (warmRange), and everything else
-// is skipped. The returned counters cover only the measured windows —
-// extrapolating them to whole-trace estimates is the caller's job (see
-// internal/sim) — along with the first window's share of those counters
-// (the prologue stratum) and the number of measured accesses.
-//
-// A disabled plan, or one whose windows cover the whole trace, produces
-// counters bit-identical to Run.
-func (m *Machine) RunSampled(tr *trace.Trace, plan trace.SamplePlan) (ctrs, prologue pmu.Counters, measured uint64, err error) {
-	cs, pros, measured, err := RunBatch([]*Machine{m}, tr, plan)
-	if err != nil {
-		return pmu.Counters{}, pmu.Counters{}, 0, err
+// Harvest returns the replay's counters so far: component statistics come
+// from the live components, or from the accumulated window deltas under
+// sampled accounting. The full machine reports no walk-reference count of
+// its own (the walker's loads are in the cache counters).
+func (m *Machine) Harvest() (pmu.Counters, uint64) {
+	if m.sampled {
+		return counters(&m.run, m.sums), 0
 	}
-	if pros != nil {
-		prologue = pros[0]
-	}
-	return cs[0], prologue, measured, nil
+	return counters(&m.run, m.snapStats()), 0
 }
 
-// RunBatch replays one trace through several machines — one per layout of
-// a sweep's protocol — in a single fused pass over the trace: each block of
-// accesses is decoded once and replayed through every machine before the
-// next block is touched, so the trace's memory bandwidth and decode cost
-// are amortized across the whole batch. All machines must share a platform
-// family but may (and normally do) sit on different address spaces.
-//
-// The plan selects the fidelity schedule: a disabled plan replays every
-// access (exact mode); an enabled one replays only its windows, so every
-// machine of the batch measures the same accesses and fusion composes with
-// sampling. The returned measured count is the number of accesses replayed
-// inside measurement windows (the trace length in exact mode), and prologue
-// holds each machine's counters as of the end of the first measurement
-// window — the exactly-measured prologue stratum the caller's stratified
-// extrapolation subtracts out (nil in exact mode).
-//
-// Counters are bit-identical to running each machine over the whole trace
-// alone under the same plan: machines share no mutable state, and fusion
-// only re-orders which machine touches which trace block first.
+// Measure replays accesses [lo, hi) through the full timing model.
 //
 //mosvet:hotpath
-func RunBatch(ms []*Machine, tr *trace.Trace, plan trace.SamplePlan) (ctrs, prologue []pmu.Counters, measured uint64, err error) {
-	cols := tr.Columns()
-	states := make([]runState, len(ms))
-	sampled := plan.Enabled()
-	var sums []sampleSums
-	var bases []statSnap
-	var pro []pmu.Counters
-	if sampled {
-		sums = make([]sampleSums, len(ms))
-		bases = make([]statSnap, len(ms))
-	}
-	for _, w := range cols.Windows(plan) {
-		if w.Measure {
-			measured += uint64(w.Len())
-		}
-		for lo := w.Lo; lo < w.Hi; lo += FuseBlock {
-			hi := min(lo+FuseBlock, w.Hi)
-			for k, m := range ms {
-				if !w.Measure {
-					if err := m.warmRange(tr.Name, &states[k], cols, lo, hi); err != nil {
-						return nil, nil, 0, err
-					}
-					continue
-				}
-				if sampled && lo == w.Lo {
-					bases[k] = m.snapStats()
-				}
-				if err := m.replayRange(tr.Name, &states[k], cols, lo, hi); err != nil {
-					return nil, nil, 0, err
-				}
-				if sampled && hi == w.Hi {
-					sums[k].accumulate(bases[k], m.snapStats())
-				}
-			}
-		}
-		if sampled && w.Measure && pro == nil {
-			// First measurement window just finished: snapshot the prologue
-			// stratum before any periodic window contributes.
-			pro = make([]pmu.Counters, len(ms))
-			for k, m := range ms {
-				pro[k] = m.sampledCounters(&states[k], &sums[k])
-			}
-		}
-	}
-	out := make([]pmu.Counters, len(ms))
-	for k, m := range ms {
-		if sampled {
-			out[k] = m.sampledCounters(&states[k], &sums[k])
-		} else {
-			out[k] = m.counters(&states[k])
-		}
-	}
-	return out, pro, measured, nil
-}
-
-// replayRange advances one replay's state through accesses [lo, hi).
-//
-//mosvet:hotpath
-func (m *Machine) replayRange(name string, st *runState, cols *trace.Columns, lo, hi int) error {
+func (m *Machine) Measure(name string, cols *trace.Columns, lo, hi int) error {
+	st := &m.run
 	ooo := m.plat.OOO
 	l1Lat := float64(m.plat.L1D.LatencyCycle)
 	l2tlbLat := float64(m.plat.TLB.L2LatencyCycles)
@@ -418,16 +346,17 @@ func (m *Machine) replayRange(name string, st *runState, cols *trace.Columns, lo
 	return nil
 }
 
-// warmRange is the functional-warmup path of a sampled replay: it advances
+// Warm is the functional-warmup path of a sampled replay: it advances
 // the model state — translator memo, TLB contents, PWCs, cache hierarchy —
 // through accesses [lo, hi) with state transitions identical to
-// replayRange's, but skips all cycle accounting: no clock, no walker-queue
+// Measure's, but skips all cycle accounting: no clock, no walker-queue
 // bookkeeping, no runtime counters. The miss-rate EWMA is still maintained
 // (it is model state) so the latency-hiding model enters each measurement
 // window with a warm estimate of the recent miss frequency.
 //
 //mosvet:hotpath
-func (m *Machine) warmRange(name string, st *runState, cols *trace.Columns, lo, hi int) error {
+func (m *Machine) Warm(name string, cols *trace.Columns, lo, hi int) error {
+	st := &m.run
 	for i := lo; i < hi; i++ {
 		va := cols.VA(i)
 		work := float64(cols.Gap(i)) + 1
@@ -453,47 +382,22 @@ func (m *Machine) warmRange(name string, st *runState, cols *trace.Columns, lo, 
 	return nil
 }
 
-// counters harvests the machine's component statistics into the PMU view.
-func (m *Machine) counters(st *runState) pmu.Counters {
-	ts := m.tlb.Stats()
-	cs := m.hier.Stats()
+// counters maps run state plus component statistics onto the PMU view.
+func counters(st *runState, ss statSnap) pmu.Counters {
 	return pmu.Counters{
 		R:                uint64(st.now),
-		H:                ts.L2Hits,
-		M:                ts.Misses,
+		H:                ss.tlb.L2Hits,
+		M:                ss.tlb.Misses,
 		C:                st.walkCycles,
 		Instructions:     st.instructions,
-		L1DLoadsProgram:  cs.L1Loads.Program,
-		L1DLoadsWalker:   cs.L1Loads.Walker,
-		L2LoadsProgram:   cs.L2Loads.Program,
-		L2LoadsWalker:    cs.L2Loads.Walker,
-		L3LoadsProgram:   cs.L3Loads.Program,
-		L3LoadsWalker:    cs.L3Loads.Walker,
-		DRAMLoadsProgram: cs.DRAMLoads.Program,
-		DRAMLoadsWalker:  cs.DRAMLoads.Walker,
-		TLBLookups:       ts.Lookups,
-	}
-}
-
-// sampledCounters is counters for a sampled replay: component statistics
-// come from the accumulated measurement-window deltas instead of the live
-// (warmup-contaminated) component counters. The run-state counters need no
-// differencing — they only ever advance inside measurement windows.
-func (m *Machine) sampledCounters(st *runState, sums *sampleSums) pmu.Counters {
-	return pmu.Counters{
-		R:                uint64(st.now),
-		H:                sums.tlb.L2Hits,
-		M:                sums.tlb.Misses,
-		C:                st.walkCycles,
-		Instructions:     st.instructions,
-		L1DLoadsProgram:  sums.hier.L1Loads.Program,
-		L1DLoadsWalker:   sums.hier.L1Loads.Walker,
-		L2LoadsProgram:   sums.hier.L2Loads.Program,
-		L2LoadsWalker:    sums.hier.L2Loads.Walker,
-		L3LoadsProgram:   sums.hier.L3Loads.Program,
-		L3LoadsWalker:    sums.hier.L3Loads.Walker,
-		DRAMLoadsProgram: sums.hier.DRAMLoads.Program,
-		DRAMLoadsWalker:  sums.hier.DRAMLoads.Walker,
-		TLBLookups:       sums.tlb.Lookups,
+		L1DLoadsProgram:  ss.hier.L1Loads.Program,
+		L1DLoadsWalker:   ss.hier.L1Loads.Walker,
+		L2LoadsProgram:   ss.hier.L2Loads.Program,
+		L2LoadsWalker:    ss.hier.L2Loads.Walker,
+		L3LoadsProgram:   ss.hier.L3Loads.Program,
+		L3LoadsWalker:    ss.hier.L3Loads.Walker,
+		DRAMLoadsProgram: ss.hier.DRAMLoads.Program,
+		DRAMLoadsWalker:  ss.hier.DRAMLoads.Walker,
+		TLBLookups:       ss.tlb.Lookups,
 	}
 }

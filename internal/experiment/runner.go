@@ -87,16 +87,12 @@ type Runner struct {
 	// Proto selects the layout protocol.
 	Proto Protocol
 	// Windows, when > 1, splits every replay's schedule into that many
-	// contiguous chunks replayed in parallel (sim.Windowed). Exact mode
-	// (the default) is bit-identical to unwindowed replay; window workers
-	// share the sweep's Parallelism budget rather than multiplying it.
+	// contiguous chunks replayed in parallel (sim.Windowed), bit-identical
+	// to unwindowed replay; window workers share the sweep's Parallelism
+	// budget rather than multiplying it.
 	Windows int
-	// WindowWarm selects warmup-reconstructed windowed replay: approximate
-	// (sampling's noise-envelope contract) but checkpoint-free, with no
-	// sequential cold run.
-	WindowWarm bool
 	// CheckpointDir, when set, caches MOSCKPT01 boundary checkpoints for
-	// exact windowed replay, so repeated sweeps of the same configuration
+	// windowed replay, so repeated sweeps of the same configuration
 	// replay in parallel from the first re-run — across process restarts.
 	CheckpointDir string
 	// TraceDir, when set, caches generated traces (and their layout
@@ -401,17 +397,14 @@ func (r *Runner) checkpointKeys(wd *WorkloadData, plat arch.Platform, lays []lay
 	return keys
 }
 
-// windowed assembles the sim.Windowed config for one replay batch. The
-// checkpoint store is only wired for exact mode — warmup-reconstructed
-// replay is checkpoint-free by design.
+// windowed assembles the sim.Windowed config for one replay batch.
 func (r *Runner) windowed(keys []string) sim.Windowed {
 	w := sim.Windowed{
 		K:       r.Windows,
-		Warm:    r.WindowWarm,
 		Pool:    &r.engines,
 		Workers: r.Windows,
 	}
-	if !r.WindowWarm && r.CheckpointDir != "" {
+	if r.CheckpointDir != "" {
 		w.Store = &ckpt.Store{Dir: r.CheckpointDir}
 		w.Keys = keys
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // HotPath enforces hygiene in functions annotated //mosvet:hotpath — the
-// per-access replay kernels (RunBatch/replayRange, Hierarchy.Access, the
+// per-access replay kernels (the sim driver/Measure, Hierarchy.Access, the
 // Translate memo) whose cost is multiplied by every access of every layout
 // of every sweep. Inside an annotated function: no defer (per-call overhead
 // and hidden unlock ordering), no fmt calls (variadic any boxing allocates

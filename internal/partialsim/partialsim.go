@@ -26,12 +26,11 @@
 package partialsim
 
 import (
-	"fmt"
-
 	"mosaic/internal/arch"
 	"mosaic/internal/cache"
 	"mosaic/internal/cpu"
 	"mosaic/internal/mem"
+	"mosaic/internal/pmu"
 	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
 	"mosaic/internal/walker"
@@ -70,6 +69,8 @@ type Simulator struct {
 	// cache hierarchy so the walker's loads see realistically warm/polluted
 	// caches, making C match the full machine exactly (at ~2× cost).
 	SimulateProgramCache bool
+	// metrics is the in-flight replay's accumulator, carried by checkpoints.
+	metrics Metrics
 }
 
 // New builds a partial simulator. Only the virtual-memory-relevant parts
@@ -117,108 +118,50 @@ func (s *Simulator) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 	s.hier.Reset()
 	s.walk.Reset(s.trans)
 	s.SimulateProgramCache = false
+	s.Begin(false)
 	return nil
 }
 
 // Run replays the trace through the virtual-memory subsystem and returns
 // the metrics. It errors if an access touches unmapped memory.
 func (s *Simulator) Run(tr *trace.Trace) (Metrics, error) {
-	var m Metrics
+	s.Begin(false)
 	cols := tr.Columns()
-	if err := s.replayRange(&m, cols, 0, cols.Len()); err != nil {
+	if err := s.Measure(tr.Name, cols, 0, cols.Len()); err != nil {
 		return Metrics{}, err
 	}
-	return m, nil
+	return s.metrics, nil
 }
 
-// RunSampled replays the trace under a systematic-sampling plan: accesses
-// in measurement windows accumulate metrics, warmup windows advance the
-// TLB/PWC/cache state without touching the metrics (warmRange), and
-// everything else is skipped. The returned metrics cover only the measured
-// windows — extrapolation is the caller's job (see internal/sim) — along
-// with the first window's share of them (the prologue stratum) and the
-// number of measured accesses. A disabled plan, or one whose windows cover
-// the whole trace, is bit-identical to Run.
-func (s *Simulator) RunSampled(tr *trace.Trace, plan trace.SamplePlan) (metrics, prologue Metrics, measured uint64, err error) {
-	ms, pros, measured, err := RunBatch([]*Simulator{s}, tr, plan)
-	if err != nil {
-		return Metrics{}, Metrics{}, 0, err
-	}
-	if pros != nil {
-		prologue = pros[0]
-	}
-	return ms[0], prologue, measured, nil
+// Begin starts a replay from the simulator's current component state with
+// zeroed metrics. The partial simulator's metrics accumulate only inside
+// measurement windows, so it needs no separate sampled accounting.
+func (s *Simulator) Begin(bool) { s.metrics = Metrics{} }
+
+// OpenWindow is a no-op: see Begin.
+func (s *Simulator) OpenWindow() {}
+
+// CloseWindow is a no-op: see Begin.
+func (s *Simulator) CloseWindow() {}
+
+// Harvest returns the replay's metrics so far in the PMU view (no R) plus
+// the page-table entry loads issued.
+func (s *Simulator) Harvest() (pmu.Counters, uint64) { return s.metrics.counters() }
+
+func (m Metrics) counters() (pmu.Counters, uint64) {
+	return pmu.Counters{H: m.H, M: m.M, C: m.C, TLBLookups: m.Lookups}, m.WalkRefs
 }
 
-// RunBatch replays one trace through several simulators in a single fused
-// pass over the trace blocks, mirroring cpu.RunBatch: each block of
-// accesses is streamed through every simulator before the next block, so
-// the trace columns stay cache-resident across the whole batch. The plan
-// selects the fidelity schedule (a disabled plan replays every access);
-// measured counts accesses inside measurement windows, and prologue holds
-// each simulator's metrics as of the end of the first measurement window —
-// the exactly-measured prologue stratum (nil in exact mode). Metrics are
-// bit-identical to running each simulator alone under the same plan —
-// simulators share no mutable state and each sees the same windows in
-// order, whatever mix of SimulateProgramCache settings the batch carries.
+// Measure replays accesses [lo, hi), accumulating metrics.
 //
 //mosvet:hotpath
-func RunBatch(ss []*Simulator, tr *trace.Trace, plan trace.SamplePlan) (metrics, prologue []Metrics, measured uint64, err error) {
-	cols := tr.Columns()
-	out := make([]Metrics, len(ss))
-	var pro []Metrics
-	sampled := plan.Enabled()
-	for _, w := range cols.Windows(plan) {
-		if w.Measure {
-			measured += uint64(w.Len())
-		}
-		for lo := w.Lo; lo < w.Hi; lo += cpu.FuseBlock {
-			hi := min(lo+cpu.FuseBlock, w.Hi)
-			for k, s := range ss {
-				var err error
-				if w.Measure {
-					err = s.replayRange(&out[k], cols, lo, hi)
-				} else {
-					err = s.warmRange(cols, lo, hi)
-				}
-				if err != nil {
-					return nil, nil, 0, err
-				}
-			}
-		}
-		if sampled && w.Measure && pro == nil {
-			pro = append([]Metrics(nil), out...)
-		}
-	}
-	return out, pro, measured, nil
-}
-
-// FaultError reports an access or page-walk fault during replay. It is
-// built with plain field stores on the (run-aborting) fault path and
-// formats itself lazily, keeping fmt's variadic boxing out of the replay
-// kernels.
-type FaultError struct {
-	Index int    // access index within the trace
-	VA    uint64 // faulting virtual address
-	Walk  bool   // true when the page walk faulted, false for the access itself
-}
-
-func (e *FaultError) Error() string {
-	if e.Walk {
-		return fmt.Sprintf("partialsim: walk faults at %#x", e.VA)
-	}
-	return fmt.Sprintf("partialsim: access %d faults at %#x", e.Index, e.VA)
-}
-
-// replayRange advances one replay's metrics through accesses [lo, hi).
-//
-//mosvet:hotpath
-func (s *Simulator) replayRange(m *Metrics, cols *trace.Columns, lo, hi int) error {
+func (s *Simulator) Measure(name string, cols *trace.Columns, lo, hi int) error {
+	m := &s.metrics
 	for i := lo; i < hi; i++ {
 		va := cols.VA(i)
 		phys, ps, ok := s.trans.Translate(va)
 		if !ok {
-			return &FaultError{Index: i, VA: uint64(va)}
+			return &cpu.FaultError{Trace: name, Index: i, VA: uint64(va)}
 		}
 		m.Lookups++
 		switch s.tlb.Lookup(va, ps) {
@@ -229,7 +172,7 @@ func (s *Simulator) replayRange(m *Metrics, cols *trace.Columns, lo, hi int) err
 			m.M++
 			res := s.walk.Walk(va)
 			if res.Fault {
-				return &FaultError{Index: i, VA: uint64(va), Walk: true}
+				return &cpu.FaultError{Trace: name, Index: i, VA: uint64(va), Walk: true}
 			}
 			m.C += uint64(res.Latency)
 			m.WalkRefs += uint64(res.Refs)
@@ -244,23 +187,23 @@ func (s *Simulator) replayRange(m *Metrics, cols *trace.Columns, lo, hi int) err
 	return nil
 }
 
-// warmRange is the functional-warmup path of a sampled replay: state
+// Warm is the functional-warmup path of a sampled replay: state
 // transitions — TLB contents, PWCs, and (under SimulateProgramCache) the
-// cache hierarchy — are identical to replayRange's, but none of the metrics
+// cache hierarchy — are identical to Measure's, but none of the metrics
 // accumulate, so warmup accesses are invisible in the windowed counts.
 //
 //mosvet:hotpath
-func (s *Simulator) warmRange(cols *trace.Columns, lo, hi int) error {
+func (s *Simulator) Warm(name string, cols *trace.Columns, lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		va := cols.VA(i)
 		phys, ps, ok := s.trans.Translate(va)
 		if !ok {
-			return &FaultError{Index: i, VA: uint64(va)}
+			return &cpu.FaultError{Trace: name, Index: i, VA: uint64(va)}
 		}
 		if s.tlb.Lookup(va, ps) == tlb.Miss {
 			res := s.walk.Walk(va)
 			if res.Fault {
-				return &FaultError{Index: i, VA: uint64(va), Walk: true}
+				return &cpu.FaultError{Trace: name, Index: i, VA: uint64(va), Walk: true}
 			}
 			s.tlb.Insert(va, ps)
 		}

@@ -1,101 +1,25 @@
 package sim
 
 import (
-	"mosaic/internal/cpu"
-	"mosaic/internal/partialsim"
 	"mosaic/internal/trace"
 )
 
-// FuseMinBytes gates the fused kernels by trace size. Fusing a batch means
-// every engine's model state (TLB, caches, translator — roughly a megabyte
-// each) is re-streamed at each block switch; that only pays off when the
-// alternative — re-streaming the whole trace once per engine — is more
-// expensive, i.e. when the trace's columns dwarf the last-level cache.
-// Below the threshold each engine replays the (cache-resident) trace alone.
-// Tests lower this to force the fused path on small fixtures.
-var FuseMinBytes = 64 << 20
-
 // RunBatch replays one trace through several engines — one per layout of a
-// sweep's protocol — under a shared sampling config (the zero Sampling is
-// exact replay). Large traces (≥ FuseMinBytes) replay in a single fused
-// pass over the trace blocks (see cpu.RunBatch); small ones, and batches
-// mixing engine kinds, fall back to running each engine alone. Results are
-// bit-identical either way: engines share no mutable state, fusion only
-// re-orders which engine touches which trace block first, and the window
-// schedule is purely positional, so every engine of a fused batch measures
-// the same windows a solo run would.
+// sweep's protocol, of either kind — under a shared sampling config (the
+// zero Sampling is exact replay). Phased traces and large traces
+// (≥ fuseMinBytes of columns) replay in a single fused driver call; small
+// ones make one driver call per engine. Results are bit-identical either
+// way: engines share no mutable state, fusion only re-orders which engine
+// touches which trace block first, and the window schedule is purely
+// positional, so every engine of a fused batch measures the same windows a
+// solo run would.
 func RunBatch(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
-	if tr.Phases() != nil {
-		// Multi-phase traces always run the phased segment kernel — it is
-		// fused by construction, and size gating would only change which
-		// machine touches a block first, not the result.
-		return runPhasedBatch(engines, tr, s)
+	if len(engines) == 1 || tr.Phases() != nil || tr.Columns().Bytes() >= fuseMinBytes {
+		return replayFused(engines, tr, s)
 	}
-	if len(engines) == 1 || tr.Columns().Bytes() < FuseMinBytes {
-		return runSolo(engines, tr, s)
-	}
-
-	fulls := make([]*cpu.Machine, 0, len(engines))
-	for _, e := range engines {
-		f, ok := e.(*Full)
-		if !ok {
-			fulls = nil
-			break
-		}
-		fulls = append(fulls, f.Machine())
-	}
-	if len(fulls) == len(engines) {
-		ctrs, pros, measured, err := cpu.RunBatch(fulls, tr, s.Plan())
-		if err != nil {
-			return nil, err
-		}
-		proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-		out := make([]Result, len(ctrs))
-		for i, c := range ctrs {
-			out[i] = Result{Counters: c}
-			if s.Enabled() {
-				out[i] = s.extrapolate(out[i], Result{Counters: pros[i]},
-					proMeasured, measured, uint64(tr.Len()))
-			}
-		}
-		return out, nil
-	}
-
-	partials := make([]*partialsim.Simulator, 0, len(engines))
-	for _, e := range engines {
-		p, ok := e.(*Partial)
-		if !ok {
-			partials = nil
-			break
-		}
-		p.s.SimulateProgramCache = p.HighFidelity
-		partials = append(partials, p.s)
-	}
-	if len(partials) == len(engines) {
-		ms, pros, measured, err := partialsim.RunBatch(partials, tr, s.Plan())
-		if err != nil {
-			return nil, err
-		}
-		proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-		out := make([]Result, len(ms))
-		for i, m := range ms {
-			out[i] = metricsResult(m)
-			if s.Enabled() {
-				out[i] = s.extrapolate(out[i], metricsResult(pros[i]),
-					proMeasured, measured, uint64(tr.Len()))
-			}
-		}
-		return out, nil
-	}
-
-	return runSolo(engines, tr, s)
-}
-
-// runSolo replays each engine alone — the small-trace and mixed-kind path.
-func runSolo(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
 	out := make([]Result, len(engines))
 	for i, e := range engines {
-		res, err := e.RunSampled(tr, s)
+		res, err := runOne(e, tr, s)
 		if err != nil {
 			return nil, err
 		}

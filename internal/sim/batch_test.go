@@ -27,9 +27,9 @@ func batchTestSpaces(t *testing.T, size uint64) []*mem.AddressSpace {
 // fused kernels rather than the sequential fallback.
 func forceFused(t *testing.T) {
 	t.Helper()
-	old := FuseMinBytes
-	FuseMinBytes = 0
-	t.Cleanup(func() { FuseMinBytes = old })
+	old := fuseMinBytes
+	fuseMinBytes = 0
+	t.Cleanup(func() { fuseMinBytes = old })
 }
 
 func TestFullBatchMatchesUnfused(t *testing.T) {

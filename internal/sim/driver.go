@@ -1,0 +1,206 @@
+package sim
+
+import (
+	"mosaic/internal/ckpt"
+	"mosaic/internal/pmu"
+	"mosaic/internal/trace"
+)
+
+// kernel is the replay contract the driver advances: the full timing
+// machine (*cpu.Machine) and the partial simulator (*partialsim.Simulator)
+// both implement it — the partial simulator is the full machine with the
+// timing model left out (the paper's Figure 1). Each kernel owns its
+// in-flight replay state, so the driver holds none and kernels of either
+// kind fuse freely in one batch.
+type kernel interface {
+	// Begin starts a replay from the kernel's current component state with
+	// zeroed counters; sampled selects window-delta stat accounting.
+	Begin(sampled bool)
+	// Measure replays accesses [lo, hi) at full fidelity.
+	Measure(name string, cols *trace.Columns, lo, hi int) error
+	// Warm advances model state through [lo, hi) without counting.
+	Warm(name string, cols *trace.Columns, lo, hi int) error
+	// OpenWindow and CloseWindow bracket a measurement window under
+	// sampled accounting.
+	OpenWindow()
+	CloseWindow()
+	// Snapshot checkpoints the kernel, in-flight state included; Restore
+	// seeds it from such a checkpoint.
+	Snapshot() *ckpt.MachineState
+	Restore(*ckpt.MachineState) error
+	// Harvest returns the counters so far plus the walk-reference count;
+	// Lift maps a checkpoint the same way.
+	Harvest() (pmu.Counters, uint64)
+	Lift(*ckpt.MachineState) (pmu.Counters, uint64)
+}
+
+// FuseBlock is the number of accesses the driver replays per kernel before
+// advancing to the next kernel of a batch: large enough to amortize the
+// per-kernel switch, small enough that the block's trace columns (~50KB)
+// stay cache-resident while every kernel in the batch streams them.
+const FuseBlock = 262144
+
+// fuseMinBytes gates fusion of unphased batches by trace size. Fusing means
+// every engine's model state (TLB, caches, translator — roughly a megabyte
+// each) is re-streamed at each block switch; that only pays off when the
+// alternative — re-streaming the whole trace once per engine — is more
+// expensive, i.e. when the trace's columns dwarf the last-level cache.
+// Below the threshold each engine replays the (cache-resident) trace alone.
+// Tests lower this to force the fused path on small fixtures.
+var fuseMinBytes = 64 << 20
+
+// span is one driver call's share of a replay schedule.
+type span struct {
+	windows []trace.Window
+	// seeds is nil (start from the kernels' current state) or one
+	// checkpoint per kernel to resume from.
+	seeds []*ckpt.MachineState
+	// savePos lists trace positions, ascending, at which to snapshot every
+	// kernel; each must lie on or inside the windows.
+	savePos []int
+	// sampled selects window-delta stat accounting: required for
+	// extrapolation and for phase-boundary snapshots, bit-identical to
+	// exact counters under full coverage.
+	sampled bool
+}
+
+// harvest is one driver call's output.
+type harvest struct {
+	ctrs []Result
+	// pro holds each kernel's counters as of the end of the first
+	// measurement window — the prologue stratum of a sampled replay (nil
+	// without sampled accounting).
+	pro []Result
+	// saved is indexed [savePos][kernel]; a position the windows never
+	// reach stays nil.
+	saved    [][]*ckpt.MachineState
+	measured uint64 // accesses inside measurement windows
+}
+
+// drive is the one replay loop: it walks the span's windows block by
+// block, replaying each block through every kernel before touching the
+// next, so the trace is decoded once per block for the whole batch.
+// Kernels share no mutable state and each sees the same windows in order,
+// so every kernel's counters are bit-identical to a solo replay.
+//
+// Because checkpoints carry cumulative clock and accumulator state, a
+// seeded span's harvest equals the whole-prefix-plus-span counters.
+//
+//mosvet:hotpath
+func drive(ks []kernel, tr *trace.Trace, sp span) (harvest, error) {
+	var out harvest
+	for k, kn := range ks {
+		kn.Begin(sp.sampled)
+		if sp.seeds != nil {
+			if err := kn.Restore(sp.seeds[k]); err != nil {
+				return out, err
+			}
+		}
+	}
+	if len(sp.savePos) > 0 {
+		out.saved = make([][]*ckpt.MachineState, len(sp.savePos))
+	}
+	cols := tr.Columns()
+	si := 0
+	for _, w := range sp.windows {
+		if w.Measure {
+			out.measured += uint64(w.Len())
+		}
+		for lo := w.Lo; lo < w.Hi; {
+			for si < len(sp.savePos) && sp.savePos[si] == lo {
+				out.saved[si] = snapshotAll(ks)
+				si++
+			}
+			hi := min(lo+FuseBlock, w.Hi)
+			if si < len(sp.savePos) && sp.savePos[si] > lo && sp.savePos[si] < hi {
+				// Split the block so the next save position lands on a
+				// block boundary.
+				hi = sp.savePos[si]
+			}
+			for _, kn := range ks {
+				if !w.Measure {
+					if err := kn.Warm(tr.Name, cols, lo, hi); err != nil {
+						return out, err
+					}
+					continue
+				}
+				if sp.sampled && lo == w.Lo {
+					kn.OpenWindow()
+				}
+				if err := kn.Measure(tr.Name, cols, lo, hi); err != nil {
+					return out, err
+				}
+				if sp.sampled && hi == w.Hi {
+					kn.CloseWindow()
+				}
+			}
+			lo = hi
+		}
+		// A save position at this window's Hi that is not a later window's
+		// Lo (a phase boundary ending in a skip stretch, say) never lands
+		// on a block start — snapshot it here, after the window closed.
+		// State cannot change between a window's Hi and an abutting next
+		// window's Lo, so this matches the block-start snapshot exactly.
+		for si < len(sp.savePos) && sp.savePos[si] == w.Hi {
+			out.saved[si] = snapshotAll(ks)
+			si++
+		}
+		if sp.sampled && w.Measure && out.pro == nil {
+			out.pro = harvestAll(ks)
+		}
+	}
+	out.ctrs = harvestAll(ks)
+	return out, nil
+}
+
+func snapshotAll(ks []kernel) []*ckpt.MachineState {
+	snaps := make([]*ckpt.MachineState, len(ks))
+	for k, kn := range ks {
+		snaps[k] = kn.Snapshot()
+	}
+	return snaps
+}
+
+func harvestAll(ks []kernel) []Result {
+	out := make([]Result, len(ks))
+	for k, kn := range ks {
+		out[k].Counters, out[k].WalkRefs = kn.Harvest()
+	}
+	return out
+}
+
+// kernels returns the batch's replay kernels, each synced to its engine's
+// fidelity settings.
+func kernels(engines []Engine) []kernel {
+	ks := make([]kernel, len(engines))
+	for k, e := range engines {
+		ks[k] = e.kernel()
+	}
+	return ks
+}
+
+// replayFused runs the whole trace through a batch of engines in one
+// driver call under the sampling config (the zero Sampling is exact). A
+// multi-phase trace replays its phased schedule and carries per-phase
+// attribution (see phases.go).
+func replayFused(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
+	ks := kernels(engines)
+	n := tr.Len()
+	phases := tr.Phases()
+	windows := s.Plan().PhasedWindows(phases, n)
+	if phases != nil {
+		// Window-delta accounting even for exact plans: the phase-boundary
+		// snapshots need the component sums.
+		metas, positions := phasedMeta(s.Plan(), phases, n)
+		out, err := drive(ks, tr, span{windows: windows, savePos: positions, sampled: true})
+		if err != nil {
+			return nil, err
+		}
+		return assemblePhased(s, metas, n, ks, snapsByPos(positions, out.saved))
+	}
+	out, err := drive(ks, tr, span{windows: windows, sampled: s.Enabled()})
+	if err != nil {
+		return nil, err
+	}
+	return s.estimate(out.ctrs, out.pro, out.measured, n), nil
+}

@@ -74,6 +74,9 @@ func (r Result) Equal(o Result) bool {
 
 // Engine is one reusable simulator: the full timing machine or the partial
 // simulator, re-targetable at a platform and address space between runs.
+// The interface is sealed — *Full and *Partial are its only
+// implementations, which is what lets every replay path drive them through
+// one loop.
 type Engine interface {
 	// Platform returns the platform the engine currently models.
 	Platform() arch.Platform
@@ -86,6 +89,19 @@ type Engine interface {
 	// windowed counters to whole-trace estimates. A disabled config is
 	// bit-identical to Run.
 	RunSampled(tr *trace.Trace, s Sampling) (Result, error)
+	// kernel returns the replay kernel the driver advances, synced to the
+	// engine's settings.
+	kernel() kernel
+}
+
+// runOne replays a trace through a single engine. A multi-phase trace
+// carries per-phase attribution.
+func runOne(e Engine, tr *trace.Trace, s Sampling) (Result, error) {
+	rs, err := replayFused([]Engine{e}, tr, s)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
 }
 
 // Full wraps the full timing machine (internal/cpu) as an Engine.
@@ -113,32 +129,13 @@ func (f *Full) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 	return f.m.Reset(plat, space)
 }
 
-// Run implements Engine. A multi-phase trace routes through the phased
-// runner so the result carries per-phase attribution.
-func (f *Full) Run(tr *trace.Trace) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(f, tr, Sampling{})
-	}
-	ctr, err := f.m.Run(tr)
-	return Result{Counters: ctr}, err
-}
+// Run implements Engine.
+func (f *Full) Run(tr *trace.Trace) (Result, error) { return runOne(f, tr, Sampling{}) }
 
 // RunSampled implements Engine.
-func (f *Full) RunSampled(tr *trace.Trace, s Sampling) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(f, tr, s)
-	}
-	if !s.Enabled() {
-		return f.Run(tr)
-	}
-	ctr, pro, measured, err := f.m.RunSampled(tr, s.Plan())
-	if err != nil {
-		return Result{}, err
-	}
-	proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-	return s.extrapolate(Result{Counters: ctr}, Result{Counters: pro},
-		proMeasured, measured, uint64(tr.Len())), nil
-}
+func (f *Full) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { return runOne(f, tr, s) }
+
+func (f *Full) kernel() kernel { return f.m }
 
 // Partial wraps the partial simulator (internal/partialsim) as an Engine.
 type Partial struct {
@@ -171,43 +168,32 @@ func (p *Partial) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 	return p.s.Reset(plat, space)
 }
 
-// Run implements Engine. A multi-phase trace routes through the phased
-// runner so the result carries per-phase attribution.
-func (p *Partial) Run(tr *trace.Trace) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(p, tr, Sampling{})
-	}
-	p.s.SimulateProgramCache = p.HighFidelity
-	m, err := p.s.Run(tr)
-	if err != nil {
-		return Result{}, err
-	}
-	return metricsResult(m), nil
-}
+// Run implements Engine.
+func (p *Partial) Run(tr *trace.Trace) (Result, error) { return runOne(p, tr, Sampling{}) }
 
 // RunSampled implements Engine.
-func (p *Partial) RunSampled(tr *trace.Trace, s Sampling) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(p, tr, s)
-	}
-	if !s.Enabled() {
-		return p.Run(tr)
-	}
+func (p *Partial) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { return runOne(p, tr, s) }
+
+// kernel is the one place HighFidelity reaches the simulator.
+func (p *Partial) kernel() kernel {
 	p.s.SimulateProgramCache = p.HighFidelity
-	m, pro, measured, err := p.s.RunSampled(tr, s.Plan())
-	if err != nil {
-		return Result{}, err
-	}
-	proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-	return s.extrapolate(metricsResult(m), metricsResult(pro),
-		proMeasured, measured, uint64(tr.Len())), nil
+	return p.s
 }
 
-// metricsResult lifts the partial simulator's metrics into the unified
-// result shape.
-func metricsResult(m partialsim.Metrics) Result {
-	return Result{
-		Counters: pmu.Counters{H: m.H, M: m.M, C: m.C, TLBLookups: m.Lookups},
-		WalkRefs: m.WalkRefs,
+// clone acquires a worker-private engine matching e's kind, platform,
+// address space, and fidelity; a nil pool builds a fresh one.
+func clone(pool *Pool, e Engine) (Engine, error) {
+	if pool == nil {
+		pool = &Pool{}
 	}
+	if p, ok := e.(*Partial); ok {
+		c, err := pool.Partial(p.Platform(), p.s.Space())
+		if err != nil {
+			return nil, err
+		}
+		c.HighFidelity = p.HighFidelity
+		return c, nil
+	}
+	f := e.(*Full)
+	return pool.Full(f.Platform(), f.m.Space())
 }

@@ -1,0 +1,78 @@
+package sim
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"mosaic/internal/ckpt"
+	"mosaic/internal/cpu"
+	"mosaic/internal/mem"
+	"mosaic/internal/trace"
+)
+
+// faultTrace is testTrace confined to the lower half of the test window,
+// except access bad, which lands in the upper half. Phased traces split
+// into three phases.
+func faultTrace(size uint64, n, bad int, phased bool) (*trace.Trace, uint64) {
+	rng := rand.New(rand.NewSource(41))
+	b := trace.NewBuilder("fault-probe", n)
+	badVA := testRegion + mem.Addr(size*3/4)
+	for i := 0; i < n; i++ {
+		if phased && i%(n/3) == 0 {
+			b.BeginPhase([]string{"a", "b", "c"}[i/(n/3)])
+		}
+		b.Compute(4)
+		va := testRegion + mem.Addr(rng.Uint64()%(size/2))
+		if i == bad {
+			va = badVA
+		}
+		b.LoadDep(va)
+	}
+	return b.Trace(), uint64(badVA)
+}
+
+// TestFaultTypedOnEveryPath: whatever path replays a batch — one driver
+// call per engine, fused, phased, or exact windowed resuming from cached
+// checkpoints — a fault in engine k surfaces as a *cpu.FaultError naming
+// the trace, the access index, and the faulting address, for either engine
+// kind.
+func TestFaultTypedOnEveryPath(t *testing.T) {
+	const n, bad, k = 300000, 299000, 1
+	size := uint64(64 << 20)
+	full := buildTestSpace(t, size, mem.Page4K)
+	half := buildTestSpace(t, size/2, mem.Page4K)
+	spaces := []*mem.AddressSpace{full, half, full}
+
+	for _, kind := range []string{"full", "partial"} {
+		for _, path := range []string{"solo", "fused", "phased", "windowed"} {
+			t.Run(kind+"/"+path, func(t *testing.T) {
+				if path != "solo" {
+					forceFused(t)
+				}
+				tr, badVA := faultTrace(size, n, bad, path == "phased")
+				var err error
+				if path == "windowed" {
+					// Populate every boundary from a fault-free batch with
+					// the same keys, so the faulting replay resumes on
+					// pooled clones in parallel segments.
+					w := Windowed{K: 4, Store: &ckpt.Store{Dir: t.TempDir()}, Keys: windowedKeys(3, kind), Pool: &Pool{}}
+					fine := []*mem.AddressSpace{full, full, full}
+					if _, err := RunBatchWindowed(sampledTestEngines(t, kind, fine), tr, Sampling{}, w); err != nil {
+						t.Fatal(err)
+					}
+					_, err = RunBatchWindowed(sampledTestEngines(t, kind, spaces), tr, Sampling{}, w)
+				} else {
+					_, err = RunBatch(sampledTestEngines(t, kind, spaces), tr, Sampling{})
+				}
+				var fe *cpu.FaultError
+				if !errors.As(err, &fe) {
+					t.Fatalf("error %v (%T), want *cpu.FaultError", err, err)
+				}
+				if fe.Trace != tr.Name || fe.Index != bad || fe.VA != badVA || fe.Walk {
+					t.Errorf("fault %+v, want trace %q index %d VA %#x", fe, tr.Name, bad, badVA)
+				}
+			})
+		}
+	}
+}

@@ -148,15 +148,16 @@ func TestPhasedFullCoverageSampledIsExact(t *testing.T) {
 
 // TestPhasedFusedMatchesSolo: the fused phased batch must be bit-identical
 // to each engine replaying alone — including the phase rows — sampling on
-// and off. This is the bit-identity the cluster fabric's solo-vs-fleet
-// contract inherits on phased traces.
+// and off, for batches of one kind and for a batch mixing full, partial, and
+// high-fidelity partial engines. This is the bit-identity the cluster
+// fabric's solo-vs-fleet contract inherits on phased traces.
 func TestPhasedFusedMatchesSolo(t *testing.T) {
 	forceFused(t)
 	size := uint64(64 << 20)
 	spaces := batchTestSpaces(t, size)
 	tr := phasedSimTrace(33, size, 150000)
 
-	for _, kind := range []string{"full", "partial", "partial-hifi"} {
+	for _, kind := range []string{"full", "partial", "partial-hifi", "mixed"} {
 		for _, s := range []Sampling{
 			{},
 			{Period: 16384, MeasureLen: 1024, WarmupLen: 2048, PrologueLen: 8192},
@@ -166,7 +167,11 @@ func TestPhasedFusedMatchesSolo(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range spaces {
-				solo, err := sampledTestEngines(t, kind, spaces[i:i+1])[0].RunSampled(tr, s)
+				soloKind := kind
+				if kind == "mixed" {
+					soloKind = mixedKinds[i%len(mixedKinds)]
+				}
+				solo, err := sampledTestEngines(t, soloKind, spaces[i:i+1])[0].RunSampled(tr, s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +239,7 @@ func TestPhasedSampledEstimatesPerPhase(t *testing.T) {
 
 // TestPhasedWindowedGolden: windowed phased replay — cold, warm-from-store,
 // and solo — must be bit-identical to the unwindowed phased batch, phase
-// rows included; warmup-reconstructed mode stays phase-less by contract.
+// rows included.
 func TestPhasedWindowedGolden(t *testing.T) {
 	forceFused(t)
 	size := uint64(64 << 20)
@@ -280,18 +285,4 @@ func TestPhasedWindowedGolden(t *testing.T) {
 		}
 	}
 
-	// Warmup-reconstructed mode cannot place exact state at boundaries:
-	// headline only, Phases nil.
-	space := buildTestSpace(t, size, mem.Page4K)
-	got, err := RunBatchWindowed(sampledTestEngines(t, "full", []*mem.AddressSpace{space}), tr, Sampling{},
-		Windowed{K: 4, Warm: true, WarmLen: 1 << 16, Pool: &Pool{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Phases != nil {
-		t.Errorf("warm windowed result carries phases %+v, want nil", got[0].Phases)
-	}
-	if got[0].Counters.M == 0 {
-		t.Error("warm windowed result lost its counters")
-	}
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"mosaic/internal/ckpt"
-	"mosaic/internal/cpu"
-	"mosaic/internal/partialsim"
 	"mosaic/internal/pmu"
 	"mosaic/internal/trace"
 )
@@ -16,12 +14,12 @@ import (
 // RunBatchWindowed — attributes counters to each phase and, under sampling,
 // extrapolates within phase boundaries instead of across them.
 //
-// The mechanism is the segment kernels' save positions: RunBatchSegment
-// snapshots every machine at each phase's prologue end and phase end, and
-// because checkpoint state is cumulative, the field-wise difference of
-// consecutive snapshots is exactly the phase's contribution. Replay runs
-// under sampled (window-delta) stat accounting even for exact plans so the
-// snapshots carry the component sums; with full coverage that accounting is
+// The mechanism is the driver's save positions: every engine is
+// snapshotted at each phase's prologue end and phase end, and because
+// checkpoint state is cumulative, the field-wise difference of consecutive
+// snapshots is exactly the phase's contribution. Replay runs under sampled
+// (window-delta) stat accounting even for exact plans so the snapshots
+// carry the component sums; with full coverage that accounting is
 // bit-identical to exact counters, so an exact phased replay's headline
 // result telescopes to the same counters a phase-blind replay produces.
 //
@@ -63,7 +61,7 @@ type phaseMeta struct {
 
 // phasedMeta computes each phase's snapshot positions under the plan's
 // phased schedule, plus the ascending deduplicated position list to pass as
-// the segment kernels' savePos.
+// the driver's savePos.
 func phasedMeta(plan trace.SamplePlan, phases []trace.Phase, n int) ([]phaseMeta, []int) {
 	sched := plan.PhasedWindows(phases, n)
 	metas := make([]phaseMeta, 0, len(phases))
@@ -100,19 +98,6 @@ func subResult(a, b Result) Result {
 	return a
 }
 
-// phaseLift converts a phase-boundary snapshot into the unified result
-// shape for the given engine kind.
-func phaseLift(e Engine) func(*ckpt.MachineState) Result {
-	if _, ok := e.(*Partial); ok {
-		return func(st *ckpt.MachineState) Result {
-			return metricsResult(partialsim.StateMetrics(st))
-		}
-	}
-	return func(st *ckpt.MachineState) Result {
-		return Result{Counters: cpu.StateCounters(st)}
-	}
-}
-
 // assemblePhased turns per-position snapshots into per-engine results with
 // phase attribution: for each phase, the cumulative snapshots at its
 // prologue end and phase end are differenced against the previous phase's
@@ -120,10 +105,14 @@ func phaseLift(e Engine) func(*ckpt.MachineState) Result {
 // is the sum of the per-phase estimates. Under exact replay every phase is
 // fully covered, extrapolation passes through, and the sum telescopes to
 // the exact whole-trace counters bit-identically.
-func assemblePhased(s Sampling, metas []phaseMeta, n, engines int,
-	snaps map[int][]*ckpt.MachineState, lift func(*ckpt.MachineState) Result) ([]Result, error) {
-	out := make([]Result, engines)
-	for k := 0; k < engines; k++ {
+func assemblePhased(s Sampling, metas []phaseMeta, n int, ks []kernel,
+	snaps map[int][]*ckpt.MachineState) ([]Result, error) {
+	out := make([]Result, len(ks))
+	for k, kn := range ks {
+		lift := func(st *ckpt.MachineState) (r Result) {
+			r.Counters, r.WalkRefs = kn.Lift(st)
+			return r
+		}
 		var prev, sum Result
 		var measuredSum uint64
 		phs := make([]PhaseResult, 0, len(metas))
@@ -157,7 +146,7 @@ func assemblePhased(s Sampling, metas []phaseMeta, n, engines int,
 	return out, nil
 }
 
-// snapsByPos indexes the segment kernels' saved snapshots by position.
+// snapsByPos indexes the driver's saved snapshots by position.
 func snapsByPos(positions []int, saved [][]*ckpt.MachineState) map[int][]*ckpt.MachineState {
 	m := make(map[int][]*ckpt.MachineState, len(positions))
 	for i, pos := range positions {
@@ -166,75 +155,4 @@ func snapsByPos(positions []int, saved [][]*ckpt.MachineState) map[int][]*ckpt.M
 		}
 	}
 	return m
-}
-
-// onePhased is the single-engine phased entry point behind
-// Engine.Run/RunSampled.
-func onePhased(e Engine, tr *trace.Trace, s Sampling) (Result, error) {
-	rs, err := runPhasedBatch([]Engine{e}, tr, s)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
-// runPhasedBatch replays a multi-phase trace through a batch of engines in
-// one fused pass with phase attribution. The fused segment kernel IS the
-// solo kernel (engines share no mutable state), so solo and fused — and by
-// extension single-node and fleet-sharded — phased results are
-// bit-identical by construction.
-func runPhasedBatch(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
-	fullIdx, partIdx, ok := splitKinds(engines)
-	if !ok {
-		// External Engine implementations can't be driven through the
-		// segment kernels; they replay phase-blind (no Phases attribution).
-		return runSolo(engines, tr, s)
-	}
-	if len(fullIdx) > 0 && len(partIdx) > 0 {
-		out := make([]Result, len(engines))
-		for _, idx := range [][]int{fullIdx, partIdx} {
-			sub := make([]Engine, len(idx))
-			for j, i := range idx {
-				sub[j] = engines[i]
-			}
-			rs, err := runPhasedBatch(sub, tr, s)
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range idx {
-				out[i] = rs[j]
-			}
-		}
-		return out, nil
-	}
-
-	phases := tr.Phases()
-	n := tr.Len()
-	metas, positions := phasedMeta(s.Plan(), phases, n)
-	windows := s.Plan().PhasedWindows(phases, n)
-
-	var saved [][]*ckpt.MachineState
-	var err error
-	if len(partIdx) == 0 {
-		ms := make([]*cpu.Machine, len(engines))
-		for k, e := range engines {
-			ms[k] = e.(*Full).Machine()
-		}
-		// sampled=true even for exact plans: the snapshots need the
-		// window-delta component sums, and with full coverage that
-		// accounting is bit-identical to exact counters.
-		_, _, saved, _, err = cpu.RunBatchSegment(ms, tr, windows, nil, true, false, positions)
-	} else {
-		ss := make([]*partialsim.Simulator, len(engines))
-		for k, e := range engines {
-			p := e.(*Partial)
-			p.s.SimulateProgramCache = p.HighFidelity
-			ss[k] = p.s
-		}
-		_, _, saved, _, err = partialsim.RunBatchSegment(ss, tr, windows, nil, true, false, positions)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return assemblePhased(s, metas, n, len(engines), snapsByPos(positions, saved), phaseLift(engines[0]))
 }

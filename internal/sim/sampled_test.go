@@ -8,12 +8,20 @@ import (
 	"mosaic/internal/trace"
 )
 
+// mixedKinds is the engine-kind cycle of a "mixed" test batch.
+var mixedKinds = []string{"full", "partial", "partial-hifi"}
+
 // sampledTestEngines builds one engine per test space in the requested
-// configuration: kind "full", "partial", or "partial-hifi".
+// configuration: kind "full", "partial", or "partial-hifi", or "mixed" to
+// cycle engine i through mixedKinds[i%3].
 func sampledTestEngines(t *testing.T, kind string, spaces []*mem.AddressSpace) []Engine {
 	t.Helper()
 	engines := make([]Engine, len(spaces))
 	for i, space := range spaces {
+		if kind == "mixed" {
+			engines[i] = sampledTestEngines(t, mixedKinds[i%len(mixedKinds)], spaces[i:i+1])[0]
+			continue
+		}
 		switch kind {
 		case "full":
 			eng, err := NewFull(arch.Broadwell, space)

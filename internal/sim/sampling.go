@@ -141,3 +141,21 @@ func (s Sampling) extrapolate(res, pro Result, proMeasured, measured, total uint
 	}
 	return res
 }
+
+// estimate turns a driver harvest into whole-trace results: under sampling
+// each engine's windowed counters are extrapolated against its prologue
+// stratum; exact counters pass through unchanged.
+func (s Sampling) estimate(ctrs, pro []Result, measured uint64, n int) []Result {
+	if !s.Enabled() {
+		return ctrs
+	}
+	proMeasured := uint64(s.Plan().PrologueMeasured(n))
+	for i := range ctrs {
+		var p Result
+		if pro != nil {
+			p = pro[i]
+		}
+		ctrs[i] = s.extrapolate(ctrs[i], p, proMeasured, measured, uint64(n))
+	}
+	return ctrs
+}

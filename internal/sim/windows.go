@@ -1,48 +1,26 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 
 	"mosaic/internal/ckpt"
-	"mosaic/internal/cpu"
-	"mosaic/internal/partialsim"
-	"mosaic/internal/pmu"
 	"mosaic/internal/trace"
 )
-
-// DefaultWarmLen is the functional-warmup run-in before each window of a
-// warmup-reconstructed (Windowed.Warm) replay. It matches the order of the
-// sampling pipeline's warmup lengths: long enough to cover typical TLB/PWC
-// reuse distances, short enough that K workers' warmups stay a small
-// fraction of the trace.
-const DefaultWarmLen = 1 << 16
 
 // Windowed configures parallel windowed replay: the trace's replay schedule
 // is split into K contiguous chunks (trace.WindowPlan) and the chunks are
 // replayed concurrently, each worker on its own engines.
 //
-// Two fidelity modes:
-//
-//   - Exact (Warm == false, the default). A chunk boundary can only be
-//     crossed with the exact machine state at that position, so workers run
-//     *segments*: the first segment starts at position 0 on the caller's
-//     engines, and every other segment starts at a boundary whose MOSCKPT01
-//     checkpoint (all engines of the batch) was found in Store. Checkpoints
-//     carry cumulative clock and accumulator state, so the last segment's
-//     harvest is the whole-trace answer — bit-identical to unwindowed
-//     replay by construction, whatever subset of boundaries was cached.
-//     Segments snapshot the boundaries they run through and save them to
-//     Store, so a cold run (one sequential segment — plain fused replay
-//     plus snapshot cost) makes every later run of the same sweep parallel.
-//
-//   - Warmup-reconstructed (Warm == true). All K chunks replay concurrently
-//     on freshly reset engines, each behind WarmLen accesses of functional
-//     warmup into its boundary (the sampling pipeline's warmRange), and the
-//     per-chunk counter deltas are summed. No checkpoints, no sequential
-//     cold run — but chunk-boundary state is reconstructed, not exact, so
-//     results inherit sampling's noise-envelope accuracy contract instead
-//     of bit-identity.
+// A chunk boundary can only be crossed with the exact machine state at that
+// position, so workers run *segments*: the first segment starts at position
+// 0 on the caller's engines, and every other segment starts at a boundary
+// whose MOSCKPT01 checkpoint (all engines of the batch) was found in Store.
+// Checkpoints carry cumulative clock and accumulator state, so the last
+// segment's harvest is the whole-trace answer — bit-identical to
+// unwindowed replay by construction, whatever subset of boundaries was
+// cached. Segments snapshot the boundaries they run through and save them
+// to Store, so a cold run (one sequential segment — plain fused replay plus
+// snapshot cost) makes every later run of the same sweep parallel.
 //
 // Engines cloned for non-first workers come from Pool and share the
 // caller's address spaces directly: a clone takes no SpaceCache reference
@@ -53,13 +31,8 @@ const DefaultWarmLen = 1 << 16
 type Windowed struct {
 	// K is the target chunk count; values < 2 disable windowing.
 	K int
-	// Warm selects warmup-reconstructed mode (approximate, checkpoint-free).
-	Warm bool
-	// WarmLen is the warmup run-in per chunk in Warm mode; values < 1 mean
-	// DefaultWarmLen.
-	WarmLen int
-	// Store, when non-nil, is the checkpoint cache exact mode loads
-	// boundary states from and saves them to. Requires Keys.
+	// Store, when non-nil, is the checkpoint cache boundary states are
+	// loaded from and saved to. Requires Keys.
 	Store *ckpt.Store
 	// Keys identifies each engine's checkpoint stream — one per engine,
 	// encoding everything state depends on (trace, platform, layout
@@ -79,13 +52,11 @@ func (w Windowed) Enabled() bool { return w.K > 1 }
 
 // segment is one worker's contiguous share of the replay schedule.
 type segment struct {
-	first   bool // starts at trace position 0 on the caller's engines
-	windows []trace.Window
-	seeds   []*ckpt.MachineState // nil for cold (position-0) segments
-	savePos []int                // positions to snapshot, ascending
+	span
+	first bool // starts at trace position 0 on the caller's engines
 	// persist flags which savePos entries are chunk boundaries to write to
 	// the checkpoint store; phase-attribution snapshots stay segment-local
-	// (they would be rewritten on every warm run otherwise). nil means all.
+	// (they would be rewritten on every warm run otherwise).
 	persist []bool
 }
 
@@ -111,18 +82,11 @@ func (g *segment) addSavePos(pos int, persist bool) {
 	g.persist[i] = persist
 }
 
-// segOut is one segment's harvest, in unified Result form.
-type segOut struct {
-	ctrs     []Result
-	pro      []Result
-	saved    [][]*ckpt.MachineState
-	measured uint64
-}
-
-// RunBatchWindowed is RunBatch with parallel windowed replay. A disabled
-// config, a trace too small to chunk, or an engine set the segment kernels
-// cannot fuse falls back to RunBatch — results are identical either way
-// (bit-identical in exact mode).
+// RunBatchWindowed is RunBatch with parallel windowed replay: segments
+// between cached boundaries, the last segment's cumulative harvest as the
+// answer, missing boundaries snapshotted and saved for the next run. A
+// disabled config or a trace too small to chunk falls back to RunBatch —
+// results are bit-identical either way.
 func RunBatchWindowed(engines []Engine, tr *trace.Trace, s Sampling, w Windowed) ([]Result, error) {
 	if !w.Enabled() || len(engines) == 0 {
 		return RunBatch(engines, tr, s)
@@ -131,8 +95,9 @@ func RunBatchWindowed(engines []Engine, tr *trace.Trace, s Sampling, w Windowed)
 	// ever spans a phase boundary; under an exact plan the phased schedule
 	// covers the same accesses and the cut positions are identical to the
 	// phase-blind even split.
+	phases := tr.Phases()
 	var chunks []trace.Chunk
-	if phases := tr.Phases(); phases != nil {
+	if phases != nil {
 		chunks = trace.WindowPlan{Windows: w.K}.ChunksFor(
 			s.Plan().PhasedWindows(phases, tr.Len()), !s.Enabled())
 	} else {
@@ -141,67 +106,6 @@ func RunBatchWindowed(engines []Engine, tr *trace.Trace, s Sampling, w Windowed)
 	if len(chunks) < 2 {
 		return RunBatch(engines, tr, s)
 	}
-
-	// The segment kernels fuse one engine kind; split mixed batches into
-	// homogeneous sub-batches and merge by original index.
-	fullIdx, partIdx, ok := splitKinds(engines)
-	if !ok {
-		return RunBatch(engines, tr, s)
-	}
-	if len(fullIdx) > 0 && len(partIdx) > 0 {
-		out := make([]Result, len(engines))
-		for _, idx := range [][]int{fullIdx, partIdx} {
-			sub := make([]Engine, len(idx))
-			sw := w
-			if len(w.Keys) == len(engines) {
-				sw.Keys = make([]string, len(idx))
-			} else {
-				sw.Keys = nil
-			}
-			for j, i := range idx {
-				sub[j] = engines[i]
-				if sw.Keys != nil {
-					sw.Keys[j] = w.Keys[i]
-				}
-			}
-			rs, err := RunBatchWindowed(sub, tr, s, sw)
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range idx {
-				out[i] = rs[j]
-			}
-		}
-		return out, nil
-	}
-
-	if w.Warm {
-		return runWindowedWarm(engines, tr, s, w, chunks)
-	}
-	return runWindowedExact(engines, tr, s, w, chunks)
-}
-
-// splitKinds classifies a batch; ok is false when an engine is neither
-// *Full nor *Partial (an external Engine implementation the segment
-// kernels cannot drive).
-func splitKinds(engines []Engine) (fullIdx, partIdx []int, ok bool) {
-	for i, e := range engines {
-		switch e.(type) {
-		case *Full:
-			fullIdx = append(fullIdx, i)
-		case *Partial:
-			partIdx = append(partIdx, i)
-		default:
-			return nil, nil, false
-		}
-	}
-	return fullIdx, partIdx, true
-}
-
-// runWindowedExact is exact mode: segments between cached boundaries, the
-// last segment's cumulative harvest as the answer, missing boundaries
-// snapshotted and saved for the next run.
-func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, chunks []trace.Chunk) ([]Result, error) {
 	useStore := w.Store != nil && len(w.Keys) == len(engines)
 
 	// A boundary is usable only when every engine of the batch has a valid
@@ -227,12 +131,17 @@ func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed,
 		}
 	}
 
+	// Phased traces force window-delta accounting: their phase-boundary
+	// snapshots need the component sums, and with full coverage the
+	// accounting is bit-identical to exact counters.
+	sampled := s.Enabled() || phases != nil
 	var segs []segment
-	cur := segment{first: true, windows: append([]trace.Window(nil), chunks[0].Windows...)}
+	cur := segment{first: true, span: span{sampled: sampled}}
+	cur.windows = append(cur.windows, chunks[0].Windows...)
 	for ci := 1; ci < len(chunks); ci++ {
 		if seeds[ci] != nil {
 			segs = append(segs, cur)
-			cur = segment{seeds: seeds[ci]}
+			cur = segment{span: span{seeds: seeds[ci], sampled: sampled}}
 		} else if useStore {
 			cur.addSavePos(chunks[ci].Pos, true)
 		}
@@ -244,7 +153,6 @@ func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed,
 	// prologue end and phase end; route each position into the segment
 	// whose window range covers it. A position that collides with a chunk
 	// boundary shares the boundary's snapshot.
-	phases := tr.Phases()
 	var metas []phaseMeta
 	if phases != nil {
 		var positions []int
@@ -260,7 +168,7 @@ func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed,
 		}
 	}
 
-	outs, err := runSegments(engines, tr, s, w, segs)
+	outs, err := runSegments(engines, tr, w, segs)
 	if err != nil {
 		return nil, err
 	}
@@ -269,11 +177,8 @@ func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed,
 	if useStore {
 		for si, seg := range segs {
 			for j, pos := range seg.savePos {
-				if !seg.persist[j] {
-					continue
-				}
 				snaps := outs[si].saved[j]
-				if snaps == nil {
+				if !seg.persist[j] || snaps == nil {
 					continue
 				}
 				for k := range engines {
@@ -296,91 +201,22 @@ func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed,
 				snaps[seg.windows[0].Lo] = seg.seeds
 			}
 			for j, pos := range seg.savePos {
-				if outs[si].saved != nil && outs[si].saved[j] != nil {
+				if outs[si].saved[j] != nil {
 					snaps[pos] = outs[si].saved[j]
 				}
 			}
 		}
-		return assemblePhased(s, metas, tr.Len(), len(engines), snaps, phaseLift(engines[0]))
+		return assemblePhased(s, metas, tr.Len(), kernels(engines), snaps)
 	}
 
 	// Checkpoints are cumulative, so the last segment's harvest is the
 	// whole-trace totals; earlier segments exist to parallelize and to
 	// fill missing checkpoints.
-	final := outs[len(outs)-1].ctrs
-	if s.Enabled() {
-		var measured uint64
-		for _, o := range outs {
-			measured += o.measured
-		}
-		pro := outs[0].pro
-		proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-		for i := range final {
-			final[i] = s.extrapolate(final[i], pro[i], proMeasured, measured, uint64(tr.Len()))
-		}
-	}
-	return final, nil
-}
-
-// runWindowedWarm is warmup-reconstructed mode: every chunk replays
-// concurrently behind a private functional-warmup run-in, and the
-// per-chunk counter deltas are summed.
-func runWindowedWarm(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, chunks []trace.Chunk) ([]Result, error) {
-	warmLen := w.WarmLen
-	if warmLen < 1 {
-		warmLen = DefaultWarmLen
-	}
-	segs := make([]segment, len(chunks))
-	for ci, c := range chunks {
-		seg := segment{first: ci == 0}
-		if ci > 0 {
-			lo := c.Pos - warmLen
-			if lo < 0 {
-				lo = 0
-			}
-			if lo < c.Pos {
-				seg.windows = append(seg.windows, trace.Window{Lo: lo, Hi: c.Pos})
-			}
-		}
-		seg.windows = append(seg.windows, c.Windows...)
-		segs[ci] = seg
-	}
-
-	outs, err := runSegments(engines, tr, s, w, segs)
-	if err != nil {
-		return nil, err
-	}
-
-	sum := make([]Result, len(engines))
 	var measured uint64
 	for _, o := range outs {
 		measured += o.measured
-		for i := range sum {
-			addCounters(&sum[i], o.ctrs[i])
-		}
 	}
-	if s.Enabled() {
-		pro := outs[0].pro
-		// For a phased trace the schedule's first measurement window is
-		// phase 0's prologue; warm mode replays the phased schedule (so
-		// coverage matches) but extrapolates globally and leaves
-		// Result.Phases nil — reconstructed boundary state cannot place
-		// exact counters at phase boundaries, and warm mode's contract is
-		// the sampling noise envelope, not bit-identity.
-		proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-		if phases := tr.Phases(); phases != nil {
-			for _, ww := range s.Plan().PhasedWindows(phases, tr.Len()) {
-				if ww.Measure {
-					proMeasured = uint64(ww.Len())
-					break
-				}
-			}
-		}
-		for i := range sum {
-			sum[i] = s.extrapolate(sum[i], pro[i], proMeasured, measured, uint64(tr.Len()))
-		}
-	}
-	return sum, nil
+	return s.estimate(outs[len(outs)-1].ctrs, outs[0].pro, measured, tr.Len()), nil
 }
 
 // addCounters accumulates src's counters into dst field-wise.
@@ -396,19 +232,12 @@ func addCounters(dst *Result, src Result) {
 // first segment runs on the caller's engines; every other worker clones
 // its engines from w.Pool (sharing the caller's address spaces — no
 // SpaceCache traffic) and returns them before finishing.
-func runSegments(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, segs []segment) ([]segOut, error) {
+func runSegments(engines []Engine, tr *trace.Trace, w Windowed, segs []segment) ([]harvest, error) {
 	workers := w.Workers
 	if workers < 1 || workers > len(segs) {
 		workers = len(segs)
 	}
-	// The warm path forces window-delta stat accounting even for exact
-	// plans: a seeded-from-zero chunk must keep its private warmup run-in
-	// out of the component counters. Phased traces force it too — their
-	// phase-boundary snapshots need the component sums, and with full
-	// coverage the accounting is bit-identical to exact counters.
-	sampled := s.Enabled() || w.Warm || tr.Phases() != nil
-
-	outs := make([]segOut, len(segs))
+	outs := make([]harvest, len(segs))
 	errs := make([]error, len(segs))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -418,7 +247,7 @@ func runSegments(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, segs
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outs[si], errs[si] = runOneSegment(engines, tr, s, w, segs[si], sampled)
+			outs[si], errs[si] = runOneSegment(engines, tr, w.Pool, segs[si])
 		}(si)
 	}
 	wg.Wait()
@@ -430,118 +259,26 @@ func runSegments(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, segs
 	return outs, nil
 }
 
-// runOneSegment drives the kind-specific segment kernel for one worker.
-func runOneSegment(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, seg segment, sampled bool) (segOut, error) {
-	wantPro := seg.first && s.Enabled()
-	switch engines[0].(type) {
-	case *Full:
-		ms := make([]*cpu.Machine, len(engines))
-		var clones []Engine
-		for k, e := range engines {
-			f := e.(*Full)
-			if seg.first {
-				ms[k] = f.Machine()
-				continue
+// runOneSegment drives one worker's segment, on the caller's engines for
+// the first segment and on pooled clones otherwise.
+func runOneSegment(engines []Engine, tr *trace.Trace, pool *Pool, seg segment) (harvest, error) {
+	batch := engines
+	if !seg.first {
+		batch = make([]Engine, 0, len(engines))
+		defer func() {
+			if pool != nil {
+				for _, e := range batch {
+					pool.Put(e)
+				}
 			}
-			cf, err := cloneFull(w.Pool, f)
+		}()
+		for _, e := range engines {
+			c, err := clone(pool, e)
 			if err != nil {
-				releaseClones(w.Pool, clones)
-				return segOut{}, err
+				return harvest{}, err
 			}
-			clones = append(clones, cf)
-			ms[k] = cf.Machine()
+			batch = append(batch, c)
 		}
-		ctrs, pro, saved, measured, err := cpu.RunBatchSegment(ms, tr, seg.windows, seg.seeds, sampled, wantPro, seg.savePos)
-		releaseClones(w.Pool, clones)
-		if err != nil {
-			return segOut{}, err
-		}
-		return segOut{ctrs: liftCounters(ctrs), pro: liftCounters(pro), saved: saved, measured: measured}, nil
-	case *Partial:
-		ss := make([]*partialsim.Simulator, len(engines))
-		var clones []Engine
-		for k, e := range engines {
-			p := e.(*Partial)
-			if seg.first {
-				p.s.SimulateProgramCache = p.HighFidelity
-				ss[k] = p.s
-				continue
-			}
-			cp, err := clonePartial(w.Pool, p)
-			if err != nil {
-				releaseClones(w.Pool, clones)
-				return segOut{}, err
-			}
-			clones = append(clones, cp)
-			ss[k] = cp.s
-		}
-		ms, pro, saved, measured, err := partialsim.RunBatchSegment(ss, tr, seg.windows, seg.seeds, sampled, wantPro, seg.savePos)
-		releaseClones(w.Pool, clones)
-		if err != nil {
-			return segOut{}, err
-		}
-		return segOut{ctrs: liftMetrics(ms), pro: liftMetrics(pro), saved: saved, measured: measured}, nil
 	}
-	return segOut{}, fmt.Errorf("sim: unsupported engine kind in windowed replay")
-}
-
-// cloneFull acquires a worker-private full engine matching the original's
-// platform and address space.
-func cloneFull(pool *Pool, f *Full) (*Full, error) {
-	if pool == nil {
-		return NewFull(f.Platform(), f.Machine().Space())
-	}
-	return pool.Full(f.Platform(), f.Machine().Space())
-}
-
-// clonePartial acquires a worker-private partial engine matching the
-// original's platform, address space, and fidelity.
-func clonePartial(pool *Pool, p *Partial) (*Partial, error) {
-	var cp *Partial
-	var err error
-	if pool == nil {
-		cp, err = NewPartial(p.Platform(), p.s.Space())
-	} else {
-		cp, err = pool.Partial(p.Platform(), p.s.Space())
-	}
-	if err != nil {
-		return nil, err
-	}
-	cp.HighFidelity = p.HighFidelity
-	cp.s.SimulateProgramCache = p.HighFidelity
-	return cp, nil
-}
-
-// releaseClones returns worker-private engines to the pool.
-func releaseClones(pool *Pool, clones []Engine) {
-	if pool == nil {
-		return
-	}
-	for _, e := range clones {
-		pool.Put(e)
-	}
-}
-
-// liftCounters wraps raw PMU counters in the unified result shape.
-func liftCounters(cs []pmu.Counters) []Result {
-	if cs == nil {
-		return nil
-	}
-	out := make([]Result, len(cs))
-	for i, c := range cs {
-		out[i] = Result{Counters: c}
-	}
-	return out
-}
-
-// liftMetrics wraps partial-simulator metrics in the unified result shape.
-func liftMetrics(ms []partialsim.Metrics) []Result {
-	if ms == nil {
-		return nil
-	}
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = metricsResult(m)
-	}
-	return out
+	return drive(kernels(batch), tr, seg.span)
 }

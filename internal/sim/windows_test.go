@@ -196,58 +196,9 @@ func TestWindowedCrossProcessResume(t *testing.T) {
 	}
 }
 
-// TestWindowedWarmModeAccuracy: warmup-reconstructed mode is approximate by
-// design. On the synthetic uniform-random trace — functional warmup's worst
-// case, exactly as in TestSampledExtrapolationTracksExact — the headline
-// counters must track exact replay loosely; the tight noise-envelope
-// contract (max(1%, 8/√events)) is asserted on the bundled workloads by the
-// top-level TestWindowedWarmReplayAccuracy.
-func TestWindowedWarmModeAccuracy(t *testing.T) {
-	size := uint64(64 << 20)
-	space := buildTestSpace(t, size, mem.Page4K)
-	tr := testTrace(24, size, 400000)
-
-	exact, err := RunBatch(sampledTestEngines(t, "full", []*mem.AddressSpace{space}), tr, Sampling{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, k := range []int{2, 4} {
-		got, err := RunBatchWindowed(sampledTestEngines(t, "full", []*mem.AddressSpace{space}), tr, Sampling{},
-			Windowed{K: k, Warm: true, WarmLen: 1 << 16, Pool: &Pool{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			name       string
-			exact, got uint64
-		}{
-			{"R", exact[0].Counters.R, got[0].Counters.R},
-			{"M", exact[0].Counters.M, got[0].Counters.M},
-			{"C", exact[0].Counters.C, got[0].Counters.C},
-			{"Instructions", exact[0].Counters.Instructions, got[0].Counters.Instructions},
-			{"TLBLookups", exact[0].Counters.TLBLookups, got[0].Counters.TLBLookups},
-		} {
-			if c.exact == 0 {
-				t.Fatalf("exact %s is zero", c.name)
-			}
-			// Loose synthetic-trace bounds, mirroring the sampled pipeline's
-			// synthetic test: walk cycles (cache-warmth-bound) worst.
-			bound := 0.10
-			if c.name == "C" {
-				bound = 0.15
-			}
-			rel := math.Abs(float64(c.got)-float64(c.exact)) / float64(c.exact)
-			if rel > bound {
-				t.Errorf("K=%d %s: warm-reconstructed %d vs exact %d (%.2f%% off, bound %.2f%%)",
-					k, c.name, c.got, c.exact, 100*rel, 100*bound)
-			}
-		}
-	}
-}
-
-// TestWindowedMixedKindsAndFallbacks: mixed-kind batches split and merge by
-// index; K<2 and tiny traces fall back to RunBatch unchanged.
+// TestWindowedMixedKindsAndFallbacks: mixed-kind batches fuse in one pass
+// and keep each engine's own counters; K<2 and tiny traces fall back to
+// RunBatch unchanged.
 func TestWindowedMixedKindsAndFallbacks(t *testing.T) {
 	forceFused(t)
 	size := uint64(32 << 20)
@@ -338,6 +289,7 @@ func TestWindowedSpaceRefs(t *testing.T) {
 	tr := testTrace(27, 16<<20, 200000)
 
 	pool := &Pool{}
+	store := &ckpt.Store{Dir: t.TempDir()}
 	keys := make([]string, len(configs))
 	for i, heap := range configs {
 		keys[i] = cache.Register(testMosallocConfig(heap))
@@ -352,9 +304,13 @@ func TestWindowedSpaceRefs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunBatchWindowed([]Engine{eng}, tr, Sampling{},
-			Windowed{K: 4, Warm: true, Pool: pool}); err != nil {
-			t.Fatal(err)
+		// Cold run saves the boundaries; the second run resumes from them
+		// on pooled clones.
+		w := Windowed{K: 4, Store: store, Keys: keys[i : i+1], Pool: pool}
+		for run := 0; run < 2; run++ {
+			if _, err := RunBatchWindowed([]Engine{eng}, tr, Sampling{}, w); err != nil {
+				t.Fatal(err)
+			}
 		}
 		pool.Put(eng)
 		cache.Release(keys[i])

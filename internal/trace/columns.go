@@ -6,8 +6,9 @@ import "mosaic/internal/mem"
 // addresses, instruction gaps, and the write/dep flags packed one bit per
 // access. It exists for replay throughput — a sweep streams the same trace
 // dozens of times, and the columnar layout cuts the bytes per access from
-// 16 (the padded Access struct) to ~12.3 while letting the fused replay
-// kernel (cpu.RunBatch) walk the address column sequentially.
+// 16 (the padded Access struct) to ~12.3 while letting the replay kernels
+// (cpu.Machine.Measure, partialsim.Simulator.Measure) walk the address
+// column sequentially.
 //
 // A Columns value may be a view into a larger trace (see Slice): va and gap
 // are re-sliced directly, while the flag bitsets are shared whole and

@@ -1,127 +1,22 @@
-// Top-level acceptance tests for parallel windowed replay: the quick sweep
+// Top-level acceptance test for parallel windowed replay: the quick sweep
 // over the bundled workloads, split into K windows, must be bit-identical
-// to the unwindowed sweep in exact mode (proven per-package in internal/sim
-// and internal/experiment) and inside the sampling-noise accuracy envelope
-// in warmup-reconstructed mode — chunk-boundary state is rebuilt by a
-// functional warmup run-in instead of restored from a checkpoint, so the
-// results inherit sampling's contract rather than bit-identity.
+// to the unwindowed sweep (proven per-package in internal/sim and
+// internal/experiment).
 package mosaic
 
 import (
-	"math"
 	"path/filepath"
 	"testing"
 
 	"mosaic/internal/arch"
 	"mosaic/internal/experiment"
-	"mosaic/internal/sim"
 	"mosaic/internal/workloads"
 )
-
-// runWindowedSweep is runSampledSweep with the windowed-replay knobs: the
-// quick-protocol sweep over the stretched bundled workloads with the replay
-// of every (workload, platform) split into K parallel windows.
-func runWindowedSweep(tb testing.TB, dir string, plats []arch.Platform, s sim.Sampling, k int, warm bool, ckptDir string) []*experiment.Dataset {
-	tb.Helper()
-	var ws []workloads.Workload
-	for _, name := range sampledSweepWorkloads {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		ws = append(ws, workloads.Stretched(w, sampledStretch))
-	}
-	r := experiment.NewRunner()
-	r.Proto = experiment.Quick
-	r.TraceDir = dir
-	r.Sampling = s
-	r.Windows = k
-	r.WindowWarm = warm
-	r.CheckpointDir = ckptDir
-	dss, err := r.CollectAll(ws, plats, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return dss
-}
-
-// compareWindowedWarm checks a warmup-reconstructed windowed sweep against
-// the exact unwindowed sweep under the sampling accuracy contract. Unlike
-// compareSampledSweeps it takes the coverage fraction as a given: warm
-// windowed replay of an exact plan measures every access (the warmup
-// run-ins are excluded by window-delta accounting), so each counter's event
-// count is simply its exact value.
-func compareWindowedWarm(tb testing.TB, exact, warm []*experiment.Dataset) sampledSweepErrors {
-	tb.Helper()
-	if len(exact) != len(warm) {
-		tb.Fatalf("%d exact datasets vs %d warm-windowed", len(exact), len(warm))
-	}
-	var out sampledSweepErrors
-	for d := range exact {
-		if exact[d].Platform != warm[d].Platform || exact[d].Workload != warm[d].Workload {
-			tb.Fatalf("dataset order mismatch: %s@%s vs %s@%s",
-				exact[d].Workload, exact[d].Platform, warm[d].Workload, warm[d].Platform)
-		}
-		for layoutName, ec := range exact[d].Counters {
-			wc, ok := warm[d].Counters[layoutName]
-			if !ok {
-				tb.Fatalf("warm-windowed sweep missing layout %s", layoutName)
-			}
-			ev, wv := sampledCounterValues(ec), sampledCounterValues(wc)
-			for i := range ev {
-				if ev[i] < minSampledCount {
-					continue
-				}
-				rel := math.Abs(float64(wv[i])-float64(ev[i])) / float64(ev[i])
-				events := float64(ev[i])
-				at := exact[d].Workload + "@" + exact[d].Platform + "/" + layoutName + "/" + sampledCounterNames[i]
-				if events >= sigSampledEvents {
-					out.Significant++
-					if rel > out.WorstSig {
-						out.WorstSig, out.WorstSigAt = rel, at
-					}
-				}
-				if ratio := rel / sampledErrorBound(events); ratio > out.WorstEnvRatio {
-					out.WorstEnvRatio, out.WorstEnvAt = ratio, at
-				}
-			}
-		}
-	}
-	return out
-}
-
-// TestWindowedWarmReplayAccuracy is the acceptance bound for the
-// approximate mode: on sweep-scale traces, warmup-reconstructed windowed
-// replay (K=8, no checkpoints) keeps every statistically significant
-// counter within 1% of the exact unwindowed sweep, and every counter inside
-// the max(1%, 8/sqrt(events)) noise envelope.
-func TestWindowedWarmReplayAccuracy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("windowed-vs-exact sweep comparison is not short")
-	}
-	dir := t.TempDir()
-	plats := []arch.Platform{arch.SandyBridge}
-	exact, _ := runSampledSweep(t, dir, plats, sim.Sampling{})
-	warm := runWindowedSweep(t, dir, plats, sim.Sampling{}, 8, true, "")
-
-	errs := compareWindowedWarm(t, exact, warm)
-	t.Logf("%d significant entries, worst %.4f%% (%s); worst envelope ratio %.2f (%s)",
-		errs.Significant, 100*errs.WorstSig, errs.WorstSigAt, errs.WorstEnvRatio, errs.WorstEnvAt)
-	if errs.Significant < 100 {
-		t.Errorf("only %d significant counter entries — the sweep is too small to claim anything", errs.Significant)
-	}
-	if errs.WorstSig > 0.01 {
-		t.Errorf("significant counter off by %.4f%% at %s, want ≤ 1%%", 100*errs.WorstSig, errs.WorstSigAt)
-	}
-	if errs.WorstEnvRatio > 1 {
-		t.Errorf("counter outside the noise envelope at %s (ratio %.2f)", errs.WorstEnvAt, errs.WorstEnvRatio)
-	}
-}
 
 // TestWindowedSweepRace exercises concurrent windowed replay inside one
 // sweep — K window workers × N layouts sharing pooled engines, address
 // spaces, and a checkpoint store — at sizes small enough that CI can run it
-// under -race -count=2. The exact-mode pass also re-checks bit-identity
+// under -race -count=2. The windowed passes also re-check bit-identity
 // against the unwindowed sweep while the race detector watches.
 func TestWindowedSweepRace(t *testing.T) {
 	dir := t.TempDir()
@@ -133,13 +28,12 @@ func TestWindowedSweepRace(t *testing.T) {
 	}
 	ws := []workloads.Workload{w}
 
-	collect := func(k int, warm bool, ckpt string) []*experiment.Dataset {
+	collect := func(k int, ckpt string) []*experiment.Dataset {
 		r := experiment.NewRunner()
 		r.Proto = experiment.Quick
 		r.TraceDir = dir
 		r.Parallelism = 2
 		r.Windows = k
-		r.WindowWarm = warm
 		r.CheckpointDir = ckpt
 		dss, err := r.CollectAll(ws, plats, nil)
 		if err != nil {
@@ -148,10 +42,9 @@ func TestWindowedSweepRace(t *testing.T) {
 		return dss
 	}
 
-	ref := collect(0, false, "")
-	exact := collect(4, false, ckptDir) // cold: saves checkpoints while racing
-	warm := collect(4, false, ckptDir)  // warm: restores them concurrently
-	approx := collect(4, true, "")      // warmup-reconstructed workers
+	ref := collect(0, "")
+	exact := collect(4, ckptDir) // cold: saves checkpoints while racing
+	warm := collect(4, ckptDir)  // warm: restores them concurrently
 
 	if files, err := filepath.Glob(filepath.Join(ckptDir, "*.mosckpt")); err != nil || len(files) == 0 {
 		t.Fatalf("cold windowed sweep saved no checkpoints (err=%v)", err)
@@ -167,13 +60,6 @@ func TestWindowedSweepRace(t *testing.T) {
 						name, ref[d].Workload, ref[d].Platform, layoutName, gc, rc)
 				}
 			}
-		}
-	}
-	// The approximate pass only needs to have produced counters — its
-	// accuracy contract is TestWindowedWarmReplayAccuracy's job.
-	for d := range approx {
-		if len(approx[d].Counters) == 0 {
-			t.Errorf("warm-mode sweep %s@%s produced no counters", approx[d].Workload, approx[d].Platform)
 		}
 	}
 }
