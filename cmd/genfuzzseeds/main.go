@@ -19,11 +19,13 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"mosaic/internal/cache"
 	"mosaic/internal/ckpt"
 	"mosaic/internal/cluster"
 	"mosaic/internal/pmu"
 	"mosaic/internal/sim"
 	"mosaic/internal/trace"
+	"mosaic/internal/walker"
 )
 
 func main() {
@@ -130,10 +132,35 @@ func ckptSeeds() map[string][]byte {
 	valid := buf.Bytes()
 	badVer := append([]byte(nil), valid...)
 	badVer[8] = '9'
+
+	// A partial-simulator state: no clock section values, the walker-private
+	// ablation cache present, and every PWC populated.
+	full := &ckpt.MachineState{Metrics: [5]uint64{11, 12, 13, 14, 15}}
+	full.SumTLB.Lookups = 77
+	full.SumHier.DRAMLoads.Walker = 5
+	full.TLB.L12M = []uint64{21}
+	full.TLB.L11G = []uint64{22}
+	full.TLB.L21G = []uint64{23, 24}
+	full.Hier.L1.Tags = []uint32{31}
+	full.Hier.WalkerPrivate = &cache.CacheState{Tags: []uint32{41, 42, 43}}
+	full.Hier.Stats.L2Loads.Program = 6
+	for i, p := range []*walker.PWCState{&full.Walk.PML4, &full.Walk.PDPT, &full.Walk.PD} {
+		p.Entries = 4
+		p.Keys = []uint64{uint64(0x100 * (i + 1)), uint64(0x100*(i+1) + 1)}
+		p.Prev = []uint16{1, 0}
+		p.Next = []uint16{1, 0}
+		p.Head, p.Tail = 0, 1
+	}
+	full.Walk.Stats.Faults = 3
+	var fbuf bytes.Buffer
+	if _, err := full.Encode(&fbuf, "seed/partial@plat", 7); err != nil {
+		log.Fatal(err)
+	}
 	return map[string][]byte{
 		"seed-valid":  valid,
 		"seed-trunc":  append([]byte(nil), valid[:len(valid)/2]...),
 		"seed-badver": badVer,
+		"seed-full":   fbuf.Bytes(),
 	}
 }
 
@@ -171,12 +198,33 @@ func shardSeeds() map[string][]byte {
 	if err != nil {
 		log.Fatal(err)
 	}
+	phased := &cluster.ShardResult{
+		Key: "job-2/3-4",
+		Job: "job-2",
+		Lo:  3,
+		Hi:  4,
+		Results: []cluster.LayoutResult{
+			{Layout: "1g", Result: sim.Result{
+				Counters: pmu.Counters{H: 9, M: 3, C: 70, R: 4000, TLBLookups: 500},
+				Phases: []sim.PhaseResult{
+					{Name: "load", Counters: pmu.Counters{H: 4, M: 1, C: 30, R: 1500, TLBLookups: 200}, WalkRefs: 2},
+					{Name: "compact", Counters: pmu.Counters{H: 5, M: 2, C: 40, R: 2500, TLBLookups: 300},
+						MeasuredAccesses: 60, TotalAccesses: 300},
+				},
+			}},
+		},
+	}
+	phasedB, err := phased.Encode()
+	if err != nil {
+		log.Fatal(err)
+	}
 	corrupt := append([]byte(nil), specB...)
 	corrupt[len(corrupt)-1] ^= 0xff // break the checksum trailer
 	return map[string][]byte{
-		"seed-spec":         specB,
-		"seed-result":       resB,
-		"seed-spec-badsum":  corrupt,
-		"seed-result-trunc": append([]byte(nil), resB[:len(resB)-9]...),
+		"seed-spec":          specB,
+		"seed-result":        resB,
+		"seed-spec-badsum":   corrupt,
+		"seed-result-trunc":  append([]byte(nil), resB[:len(resB)-9]...),
+		"seed-result-phased": phasedB,
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 
+	"mosaic/internal/binfmt"
 	"mosaic/internal/report"
 )
 
@@ -94,8 +94,8 @@ func loadHistory(path string) ([]benchRow, error) {
 	return rows, nil
 }
 
-// appendHistory appends one row and rewrites the ledger atomically
-// (same-directory temp + rename, like every cache file in the repo).
+// appendHistory appends one row and rewrites the ledger through
+// binfmt.WriteFileAtomic, like every cache file in the repo.
 func appendHistory(path string, row benchRow) error {
 	rows, err := loadHistory(path)
 	if err != nil {
@@ -109,32 +109,10 @@ func appendHistory(path string, row benchRow) error {
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
+	return binfmt.WriteFileAtomic(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(raw, '\n')); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // checkRegression compares the ledger's last row against the previous one

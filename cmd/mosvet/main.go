@@ -1,7 +1,7 @@
 // Command mosvet is the repo's project-invariant static analyzer: it
 // type-checks the whole module (stdlib-only — go/parser + go/types with the
-// source importer) and enforces the determinism, locking, codec, and
-// checkpoint contracts the simulation and serving tiers rest on.
+// source importer) and enforces the determinism, locking, and checkpoint
+// contracts the simulation and serving tiers rest on.
 //
 // Checks (see docs/static-analysis.md for rationale and examples):
 //
@@ -10,8 +10,7 @@
 //	floateq     no ==/!= on float operands
 //	lockio      no blocking I/O or channel ops while a serve mutex is held
 //	hotpath     no defer/fmt/map-alloc/interface-boxing in //mosvet:hotpath kernels
-//	ckptfields  Snapshot writes, Restore reads, and the codec carries every state field
-//	codecsym    encode/decode streams of the hand-rolled codecs stay in lockstep
+//	ckptfields  Snapshot writes every state field and Restore reads it back
 //	lockorder   no mutex acquisition cycles or transitively-blocking calls under locks
 //	phasebound  no raw trace.Phase construction outside the trace package
 //

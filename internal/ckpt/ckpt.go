@@ -7,12 +7,12 @@
 // internal/partialsim) compose those component states with their own
 // clock and accumulator state into a MachineState.
 //
-// The binary serialization, MOSCKPT01, follows the same hand-rolled codec
-// discipline as the MOSTRC02 trace format (internal/trace/io.go): a fixed
-// magic, bounded length fields validated before allocation, little-endian
-// fixed-width integers, floats as IEEE-754 bit patterns (Float64bits), and
-// an atomic temp+rename write path — so checkpoints can live in the trace
-// cache directory and survive process restarts bit-identically.
+// The binary serialization, MOSCKPT01, is one field walk over the
+// internal/binfmt codec (fixed magic, bounded length fields validated
+// before allocation, little-endian fixed-width integers, floats as
+// IEEE-754 bit patterns) written through its atomic temp+rename helper —
+// so checkpoints can live in the trace cache directory and survive process
+// restarts bit-identically.
 //
 // Layout (all integers little-endian):
 //
@@ -35,11 +35,10 @@ package ckpt
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"mosaic/internal/binfmt"
 	"mosaic/internal/cache"
 	"mosaic/internal/tlb"
 	"mosaic/internal/walker"
@@ -102,47 +101,6 @@ type MachineState struct {
 	Walk walker.State
 }
 
-// appendU16/32/64 and appendF64 are the fixed-width encode helpers.
-func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendU64s(b []byte, vs []uint64) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendU64(b, v)
-	}
-	return b
-}
-
-func appendU32s(b []byte, vs []uint32) []byte {
-	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendU32(b, v)
-	}
-	return b
-}
-
-func appendPWC(b []byte, p walker.PWCState) []byte {
-	b = appendU32(b, uint32(p.Entries))
-	b = appendU32(b, uint32(len(p.Keys)))
-	for _, k := range p.Keys {
-		b = appendU64(b, k)
-	}
-	for _, v := range p.Prev {
-		b = appendU16(b, v)
-	}
-	for _, v := range p.Next {
-		b = appendU16(b, v)
-	}
-	b = appendU16(b, p.Head)
-	b = appendU16(b, p.Tail)
-	return b
-}
-
 const (
 	flagClock         = 1 << 0
 	flagWalkerPrivate = 1 << 1
@@ -151,424 +109,138 @@ const (
 // Encode serializes the state in the MOSCKPT01 format under the given key
 // and trace position.
 func (s *MachineState) Encode(w io.Writer, key string, pos int) (int64, error) {
-	if len(key) > maxKeyLen {
-		return 0, fmt.Errorf("ckpt: key too long (%d bytes)", len(key))
-	}
 	if pos < 0 {
 		return 0, fmt.Errorf("ckpt: negative position %d", pos)
 	}
-	b := make([]byte, 0, s.encodedSize(len(key)))
-	b = append(b, Magic[:]...)
-	b = append(b, Version)
-	b = appendU16(b, uint16(len(key)))
-	b = append(b, key...)
-	b = appendU64(b, uint64(pos))
-	var flags byte
-	if s.HasClock {
-		flags |= flagClock
+	c := binfmt.NewEncoder()
+	s.walk(c, &key, &pos)
+	if err := c.Err(); err != nil {
+		return 0, fmt.Errorf("ckpt: %w", err)
 	}
-	if s.Hier.WalkerPrivate != nil {
-		flags |= flagWalkerPrivate
-	}
-	b = append(b, flags)
-
-	// Clock section.
-	b = appendF64(b, s.Now)
-	b = appendF64(b, s.MissRate)
-	b = appendU64(b, s.WalkCycles)
-	b = appendU64(b, s.Instructions)
-	for _, v := range s.Breakdown {
-		b = appendF64(b, v)
-	}
-	b = appendU32(b, uint32(len(s.WalkerFree)))
-	for _, v := range s.WalkerFree {
-		b = appendF64(b, v)
-	}
-
-	// Accumulator section.
-	b = appendU64(b, s.SumTLB.Lookups)
-	b = appendU64(b, s.SumTLB.L1Hits)
-	b = appendU64(b, s.SumTLB.L2Hits)
-	b = appendU64(b, s.SumTLB.Misses)
-	b = appendLoadStats(b, s.SumHier)
-	for _, v := range s.Metrics {
-		b = appendU64(b, v)
-	}
-
-	// TLB section.
-	b = appendU64s(b, s.TLB.L14K)
-	b = appendU64s(b, s.TLB.L12M)
-	b = appendU64s(b, s.TLB.L11G)
-	b = appendU64s(b, s.TLB.L2)
-	b = appendU64s(b, s.TLB.L21G)
-	b = appendU64(b, s.TLB.Counts.Lookups)
-	b = appendU64(b, s.TLB.Counts.L1Hits)
-	b = appendU64(b, s.TLB.Counts.L2Hits)
-	b = appendU64(b, s.TLB.Counts.Misses)
-	for _, v := range s.TLB.MissBySize {
-		b = appendU64(b, v)
-	}
-
-	// Hierarchy section.
-	b = appendU32s(b, s.Hier.L1.Tags)
-	b = appendU32s(b, s.Hier.L2.Tags)
-	b = appendU32s(b, s.Hier.L3.Tags)
-	if s.Hier.WalkerPrivate != nil {
-		b = appendU32s(b, s.Hier.WalkerPrivate.Tags)
-	}
-	b = appendLoadStats(b, s.Hier.Stats)
-
-	// Walker section.
-	b = appendPWC(b, s.Walk.PML4)
-	b = appendPWC(b, s.Walk.PDPT)
-	b = appendPWC(b, s.Walk.PD)
-	b = appendU64(b, s.Walk.Stats.Walks)
-	b = appendU64(b, s.Walk.Stats.WalkCycles)
-	b = appendU64(b, s.Walk.Stats.EntryLoads)
-	b = appendU64(b, s.Walk.Stats.PWCHitPML4)
-	b = appendU64(b, s.Walk.Stats.PWCHitPDPT)
-	b = appendU64(b, s.Walk.Stats.PWCHitPD)
-	b = appendU64(b, s.Walk.Stats.Faults)
-
-	n, err := w.Write(b)
+	n, err := w.Write(c.Bytes())
 	return int64(n), err
-}
-
-func appendLoadStats(b []byte, st cache.Stats) []byte {
-	b = appendU64(b, st.L1Loads.Program)
-	b = appendU64(b, st.L1Loads.Walker)
-	b = appendU64(b, st.L2Loads.Program)
-	b = appendU64(b, st.L2Loads.Walker)
-	b = appendU64(b, st.L3Loads.Program)
-	b = appendU64(b, st.L3Loads.Walker)
-	b = appendU64(b, st.DRAMLoads.Program)
-	b = appendU64(b, st.DRAMLoads.Walker)
-	return b
-}
-
-// encodedSize upper-bounds the serialized size so Encode builds the buffer
-// in one allocation.
-func (s *MachineState) encodedSize(keyLen int) int {
-	n := 8 + 1 + 2 + keyLen + 8 + 1 // header
-	n += 2*8 + 2*8 + 5*8 + 4 + len(s.WalkerFree)*8
-	n += 4*8 + 8*8 + 5*8
-	for _, a := range [][]uint64{s.TLB.L14K, s.TLB.L12M, s.TLB.L11G, s.TLB.L2, s.TLB.L21G} {
-		n += 4 + len(a)*8
-	}
-	n += 8 * 8 // tlb counts + missBySize
-	n += 3*4 + (len(s.Hier.L1.Tags)+len(s.Hier.L2.Tags)+len(s.Hier.L3.Tags))*4
-	if s.Hier.WalkerPrivate != nil {
-		n += 4 + len(s.Hier.WalkerPrivate.Tags)*4
-	}
-	n += 8 * 8 // hier stats
-	for _, p := range []walker.PWCState{s.Walk.PML4, s.Walk.PDPT, s.Walk.PD} {
-		n += 8 + len(p.Keys)*8 + len(p.Prev)*2 + len(p.Next)*2 + 4
-	}
-	n += 7 * 8 // walker stats
-	return n
-}
-
-// countingReader tracks bytes consumed from the underlying reader.
-type countingReader struct {
-	br   *bufio.Reader
-	read int64
-}
-
-func (c *countingReader) full(p []byte) error {
-	n, err := io.ReadFull(c.br, p)
-	c.read += int64(n)
-	return err
-}
-
-func (c *countingReader) u16() (uint16, error) {
-	var b [2]byte
-	if err := c.full(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-func (c *countingReader) u32() (uint32, error) {
-	var b [4]byte
-	if err := c.full(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func (c *countingReader) u64() (uint64, error) {
-	var b [8]byte
-	if err := c.full(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func (c *countingReader) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-func (c *countingReader) u64s(section string) ([]uint64, error) {
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > maxTagArray {
-		return nil, fmt.Errorf("ckpt: implausible %s length %d", section, n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		if out[i], err = c.u64(); err != nil {
-			return nil, fmt.Errorf("ckpt: truncated %s: %w", section, err)
-		}
-	}
-	return out, nil
-}
-
-func (c *countingReader) u32s(section string) ([]uint32, error) {
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > maxTagArray {
-		return nil, fmt.Errorf("ckpt: implausible %s length %d", section, n)
-	}
-	out := make([]uint32, n)
-	var b [4]byte
-	for i := range out {
-		if err := c.full(b[:]); err != nil {
-			return nil, fmt.Errorf("ckpt: truncated %s: %w", section, err)
-		}
-		out[i] = binary.LittleEndian.Uint32(b[:])
-	}
-	return out, nil
-}
-
-func (c *countingReader) pwc(section string) (walker.PWCState, error) {
-	var p walker.PWCState
-	entries, err := c.u32()
-	if err != nil {
-		return p, err
-	}
-	if entries > maxPWCEntries {
-		return p, fmt.Errorf("ckpt: implausible %s capacity %d", section, entries)
-	}
-	n, err := c.u32()
-	if err != nil {
-		return p, err
-	}
-	if n > entries {
-		return p, fmt.Errorf("ckpt: forged %s fill %d of %d entries", section, n, entries)
-	}
-	p.Entries = int(entries)
-	if n > 0 {
-		p.Keys = make([]uint64, n)
-		p.Prev = make([]uint16, n)
-		p.Next = make([]uint16, n)
-		for i := range p.Keys {
-			if p.Keys[i], err = c.u64(); err != nil {
-				return p, fmt.Errorf("ckpt: truncated %s keys: %w", section, err)
-			}
-		}
-		for i := range p.Prev {
-			if p.Prev[i], err = c.u16(); err != nil {
-				return p, fmt.Errorf("ckpt: truncated %s links: %w", section, err)
-			}
-		}
-		for i := range p.Next {
-			if p.Next[i], err = c.u16(); err != nil {
-				return p, fmt.Errorf("ckpt: truncated %s links: %w", section, err)
-			}
-		}
-	}
-	if p.Head, err = c.u16(); err != nil {
-		return p, err
-	}
-	if p.Tail, err = c.u16(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
-func (c *countingReader) loadStats() (cache.Stats, error) {
-	var st cache.Stats
-	for _, p := range []*uint64{
-		&st.L1Loads.Program, &st.L1Loads.Walker,
-		&st.L2Loads.Program, &st.L2Loads.Walker,
-		&st.L3Loads.Program, &st.L3Loads.Walker,
-		&st.DRAMLoads.Program, &st.DRAMLoads.Walker,
-	} {
-		v, err := c.u64()
-		if err != nil {
-			return st, err
-		}
-		*p = v
-	}
-	return st, nil
 }
 
 // Decode deserializes a MOSCKPT01 stream, returning the stored key, trace
 // position, and state. It rejects wrong magics, unknown versions, and any
 // forged or truncated section.
 func Decode(r io.Reader) (key string, pos int, s *MachineState, err error) {
-	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<16)}
-	var magic [8]byte
-	if err := cr.full(magic[:]); err != nil {
-		return "", 0, nil, err
-	}
-	if magic != Magic {
-		return "", 0, nil, fmt.Errorf("ckpt: bad magic %q", magic[:])
-	}
-	var ver [1]byte
-	if err := cr.full(ver[:]); err != nil {
-		return "", 0, nil, err
-	}
-	if ver[0] != Version {
-		return "", 0, nil, fmt.Errorf("ckpt: unsupported version %q", ver[0])
-	}
-	keyLen, err := cr.u16()
-	if err != nil {
-		return "", 0, nil, err
-	}
-	if int(keyLen) > maxKeyLen {
-		return "", 0, nil, fmt.Errorf("ckpt: implausible key length %d", keyLen)
-	}
-	keyBytes := make([]byte, keyLen)
-	if err := cr.full(keyBytes); err != nil {
-		return "", 0, nil, err
-	}
-	key = string(keyBytes)
-	upos, err := cr.u64()
-	if err != nil {
-		return "", 0, nil, err
-	}
-	if upos > 1<<62 {
-		return "", 0, nil, fmt.Errorf("ckpt: implausible position %d", upos)
-	}
-	pos = int(upos)
-	var flags [1]byte
-	if err := cr.full(flags[:]); err != nil {
-		return "", 0, nil, err
-	}
-
-	s = &MachineState{HasClock: flags[0]&flagClock != 0}
-	if s.Now, err = cr.f64(); err != nil {
-		return "", 0, nil, err
-	}
-	if s.MissRate, err = cr.f64(); err != nil {
-		return "", 0, nil, err
-	}
-	if s.WalkCycles, err = cr.u64(); err != nil {
-		return "", 0, nil, err
-	}
-	if s.Instructions, err = cr.u64(); err != nil {
-		return "", 0, nil, err
-	}
-	for i := range s.Breakdown {
-		if s.Breakdown[i], err = cr.f64(); err != nil {
-			return "", 0, nil, err
-		}
-	}
-	nw, err := cr.u32()
-	if err != nil {
-		return "", 0, nil, err
-	}
-	if nw > maxWalkers {
-		return "", 0, nil, fmt.Errorf("ckpt: implausible walker count %d", nw)
-	}
-	if nw > 0 {
-		s.WalkerFree = make([]float64, nw)
-		for i := range s.WalkerFree {
-			if s.WalkerFree[i], err = cr.f64(); err != nil {
-				return "", 0, nil, err
-			}
-		}
-	}
-
-	for _, p := range []*uint64{&s.SumTLB.Lookups, &s.SumTLB.L1Hits, &s.SumTLB.L2Hits, &s.SumTLB.Misses} {
-		if *p, err = cr.u64(); err != nil {
-			return "", 0, nil, err
-		}
-	}
-	if s.SumHier, err = cr.loadStats(); err != nil {
-		return "", 0, nil, err
-	}
-	for i := range s.Metrics {
-		if s.Metrics[i], err = cr.u64(); err != nil {
-			return "", 0, nil, err
-		}
-	}
-
-	if s.TLB.L14K, err = cr.u64s("TLB L1-4K"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.TLB.L12M, err = cr.u64s("TLB L1-2M"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.TLB.L11G, err = cr.u64s("TLB L1-1G"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.TLB.L2, err = cr.u64s("TLB L2"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.TLB.L21G, err = cr.u64s("TLB L2-1G"); err != nil {
-		return "", 0, nil, err
-	}
-	for _, p := range []*uint64{&s.TLB.Counts.Lookups, &s.TLB.Counts.L1Hits, &s.TLB.Counts.L2Hits, &s.TLB.Counts.Misses} {
-		if *p, err = cr.u64(); err != nil {
-			return "", 0, nil, err
-		}
-	}
-	for i := range s.TLB.MissBySize {
-		if s.TLB.MissBySize[i], err = cr.u64(); err != nil {
-			return "", 0, nil, err
-		}
-	}
-
-	if s.Hier.L1.Tags, err = cr.u32s("L1 tags"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.Hier.L2.Tags, err = cr.u32s("L2 tags"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.Hier.L3.Tags, err = cr.u32s("L3 tags"); err != nil {
-		return "", 0, nil, err
-	}
-	if flags[0]&flagWalkerPrivate != 0 {
-		tags, err := cr.u32s("walker-private tags")
-		if err != nil {
-			return "", 0, nil, err
-		}
-		s.Hier.WalkerPrivate = &cache.CacheState{Tags: tags}
-	}
-	if s.Hier.Stats, err = cr.loadStats(); err != nil {
-		return "", 0, nil, err
-	}
-
-	if s.Walk.PML4, err = cr.pwc("PWC-PML4"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.Walk.PDPT, err = cr.pwc("PWC-PDPT"); err != nil {
-		return "", 0, nil, err
-	}
-	if s.Walk.PD, err = cr.pwc("PWC-PD"); err != nil {
-		return "", 0, nil, err
-	}
-	for _, p := range []*uint64{
-		&s.Walk.Stats.Walks, &s.Walk.Stats.WalkCycles, &s.Walk.Stats.EntryLoads,
-		&s.Walk.Stats.PWCHitPML4, &s.Walk.Stats.PWCHitPDPT, &s.Walk.Stats.PWCHitPD,
-		&s.Walk.Stats.Faults,
-	} {
-		if *p, err = cr.u64(); err != nil {
-			return "", 0, nil, err
-		}
+	c := binfmt.NewDecoder(bufio.NewReaderSize(r, 1<<16))
+	s = &MachineState{}
+	s.walk(c, &key, &pos)
+	if err := c.Err(); err != nil {
+		return "", 0, nil, fmt.Errorf("ckpt: %w", err)
 	}
 	return key, pos, s, nil
+}
+
+// walk is the MOSCKPT01 layout: Encode and Decode both run it.
+func (s *MachineState) walk(c *binfmt.Codec, key *string, pos *int) {
+	c.Tag(Magic[:], "magic")
+	c.Tag([]byte{Version}, "version")
+	c.Str(key, maxKeyLen)
+	upos := uint64(*pos)
+	c.U64(&upos)
+	if upos > 1<<62 {
+		c.Failf("implausible position %d", upos)
+	}
+	var flags uint8
+	if s.HasClock {
+		flags |= flagClock
+	}
+	if s.Hier.WalkerPrivate != nil {
+		flags |= flagWalkerPrivate
+	}
+	c.U8(&flags)
+	if c.Decoding() {
+		*pos = int(upos)
+		s.HasClock = flags&flagClock != 0
+		if flags&flagWalkerPrivate != 0 {
+			s.Hier.WalkerPrivate = &cache.CacheState{}
+		}
+	}
+
+	// Clock section.
+	c.F64(&s.Now)
+	c.F64(&s.MissRate)
+	c.U64(&s.WalkCycles)
+	c.U64(&s.Instructions)
+	for i := range s.Breakdown {
+		c.F64(&s.Breakdown[i])
+	}
+	binfmt.Slice(c, &s.WalkerFree, c.Len32(len(s.WalkerFree), maxWalkers, "walker count"), c.F64)
+
+	// Accumulator section.
+	walkTLBCounts(c, &s.SumTLB)
+	walkLoadStats(c, &s.SumHier)
+	for i := range s.Metrics {
+		c.U64(&s.Metrics[i])
+	}
+
+	// TLB section.
+	walkU64s(c, &s.TLB.L14K, "TLB L1-4K")
+	walkU64s(c, &s.TLB.L12M, "TLB L1-2M")
+	walkU64s(c, &s.TLB.L11G, "TLB L1-1G")
+	walkU64s(c, &s.TLB.L2, "TLB L2")
+	walkU64s(c, &s.TLB.L21G, "TLB L2-1G")
+	walkTLBCounts(c, &s.TLB.Counts)
+	for i := range s.TLB.MissBySize {
+		c.U64(&s.TLB.MissBySize[i])
+	}
+
+	// Hierarchy section.
+	walkU32s(c, &s.Hier.L1.Tags, "L1 tags")
+	walkU32s(c, &s.Hier.L2.Tags, "L2 tags")
+	walkU32s(c, &s.Hier.L3.Tags, "L3 tags")
+	if s.Hier.WalkerPrivate != nil {
+		walkU32s(c, &s.Hier.WalkerPrivate.Tags, "walker-private tags")
+	}
+	walkLoadStats(c, &s.Hier.Stats)
+
+	// Walker section.
+	walkPWC(c, &s.Walk.PML4, "PWC-PML4")
+	walkPWC(c, &s.Walk.PDPT, "PWC-PDPT")
+	walkPWC(c, &s.Walk.PD, "PWC-PD")
+	st := &s.Walk.Stats
+	for _, v := range []*uint64{&st.Walks, &st.WalkCycles, &st.EntryLoads, &st.PWCHitPML4, &st.PWCHitPDPT, &st.PWCHitPD, &st.Faults} {
+		c.U64(v)
+	}
+}
+
+func walkU64s(c *binfmt.Codec, s *[]uint64, what string) {
+	binfmt.Slice(c, s, c.Len32(len(*s), maxTagArray, what), c.U64)
+}
+
+func walkU32s(c *binfmt.Codec, s *[]uint32, what string) {
+	binfmt.Slice(c, s, c.Len32(len(*s), maxTagArray, what), c.U32)
+}
+
+func walkTLBCounts(c *binfmt.Codec, t *tlb.Counts) {
+	for _, v := range []*uint64{&t.Lookups, &t.L1Hits, &t.L2Hits, &t.Misses} {
+		c.U64(v)
+	}
+}
+
+func walkLoadStats(c *binfmt.Codec, st *cache.Stats) {
+	for _, l := range []*cache.LoadCounts{&st.L1Loads, &st.L2Loads, &st.L3Loads, &st.DRAMLoads} {
+		c.U64(&l.Program)
+		c.U64(&l.Walker)
+	}
+}
+
+func walkPWC(c *binfmt.Codec, p *walker.PWCState, what string) {
+	entries := p.Entries
+	c.IntU32(&entries)
+	if entries > maxPWCEntries {
+		c.Failf("implausible %s capacity %d", what, entries)
+	}
+	n := c.Len32(len(p.Keys), entries, what+" fill")
+	if c.Decoding() {
+		p.Entries = entries
+	}
+	binfmt.Slice(c, &p.Keys, n, c.U64)
+	binfmt.Slice(c, &p.Prev, n, c.U16)
+	binfmt.Slice(c, &p.Next, n, c.U16)
+	c.U16(&p.Head)
+	c.U16(&p.Tail)
 }

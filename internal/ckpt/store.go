@@ -2,8 +2,11 @@ package ckpt
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"mosaic/internal/binfmt"
 )
 
 // Store is an on-disk checkpoint cache, one MOSCKPT01 file per (key,
@@ -17,19 +20,9 @@ type Store struct {
 	Dir string
 }
 
-// fnv1a is the 64-bit FNV-1a hash used for checkpoint file stems.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Path returns the file path a (key, position) checkpoint lives at.
 func (st *Store) Path(key string, pos int) string {
-	return filepath.Join(st.Dir, fmt.Sprintf("%016x-%d.mosckpt", fnv1a(key), pos))
+	return filepath.Join(st.Dir, fmt.Sprintf("%016x-%d.mosckpt", binfmt.FNV1a(key), pos))
 }
 
 // Save writes the state for (key, pos) atomically: a temp file in the
@@ -41,7 +34,10 @@ func (st *Store) Save(key string, pos int, s *MachineState) error {
 	if err := os.MkdirAll(st.Dir, 0o755); err != nil {
 		return err
 	}
-	return Save(st.Path(key, pos), key, pos, s)
+	return binfmt.WriteFileAtomic(st.Path(key, pos), 0o644, func(w io.Writer) error {
+		_, err := s.Encode(w, key, pos)
+		return err
+	})
 }
 
 // Load reads the state for (key, pos). A missing file returns (nil, nil) —
@@ -69,54 +65,4 @@ func (st *Store) Load(key string, pos int) (*MachineState, error) {
 		return nil, fmt.Errorf("ckpt: %s holds position %d, want %d", st.Path(key, pos), gotPos, pos)
 	}
 	return s, nil
-}
-
-// Save writes one checkpoint file atomically (temp + sync + rename).
-func Save(path, key string, pos int, s *MachineState) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	if _, err := s.Encode(f, key, pos); err != nil {
-		cleanup()
-		return err
-	}
-	// Sync before rename: a crash after the rename must not resurrect an
-	// empty file from an unflushed page cache.
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// Load reads one checkpoint file written by Save.
-func Load(path string) (key string, pos int, s *MachineState, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	defer f.Close()
-	return Decode(f)
 }

@@ -13,7 +13,7 @@ import (
 
 // The fleet protocol rides plain HTTP: JSON for the control plane
 // (register / heartbeat / fail, where payloads are tiny and debuggability
-// matters) and the MOSSHRD01 binary codec for the data plane (lease
+// matters) and the MOSSHRD02 binary codec for the data plane (lease
 // hands out a ShardSpec, complete uploads a ShardResult) where payloads
 // carry counters and must survive version skew explicitly.
 //

@@ -17,20 +17,21 @@
 package cluster
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"math"
 
+	"mosaic/internal/binfmt"
+	"mosaic/internal/pmu"
 	"mosaic/internal/sim"
 )
 
 // The MOSSHRD wire format carries shard specs (coordinator → worker) and
-// shard results (worker → coordinator) as HTTP bodies. It follows the
-// repo's hand-rolled codec discipline (MOSTRC02, MOSCKPT01): fixed magic,
-// version byte, bounded length fields validated before allocation,
-// little-endian fixed-width integers, and a trailing FNV-1a checksum over
-// everything before it, so a truncated or corrupted payload is rejected
-// rather than half-decoded into a sweep.
+// shard results (worker → coordinator) as HTTP bodies. Each payload is one
+// field walk over the internal/binfmt codec shared with MOSTRC02 and
+// MOSCKPT01 (fixed magic, version byte, bounded length fields validated
+// before allocation, little-endian fixed-width integers), sealed with a
+// trailing FNV-1a checksum over everything before it, so a truncated or
+// corrupted payload is rejected rather than half-decoded into a sweep.
 //
 // Layout (all integers little-endian):
 //
@@ -114,334 +115,127 @@ type ShardResult struct {
 	Results []LayoutResult
 }
 
-// fnv1a hashes bytes with 64-bit FNV-1a (the repo's standard content hash).
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// counterWords lists a result's counter fields in fixed wire order. The
-// codec round-trip test compares decoded results with ==, so a new
-// pmu.Counters field that is not added here fails the test instead of
-// silently dropping off the wire.
-func counterWords(r *sim.Result) [17]*uint64 {
-	c := &r.Counters
-	return [17]*uint64{
-		&c.R, &c.H, &c.M, &c.C, &c.Instructions,
-		&c.L1DLoadsProgram, &c.L1DLoadsWalker,
-		&c.L2LoadsProgram, &c.L2LoadsWalker,
-		&c.L3LoadsProgram, &c.L3LoadsWalker,
-		&c.DRAMLoadsProgram, &c.DRAMLoadsWalker,
-		&c.TLBLookups,
-		&r.WalkRefs, &r.MeasuredAccesses, &r.TotalAccesses,
+// walkSpan walks a shard's layout span and checks it.
+func walkSpan(c *binfmt.Codec, lo, hi *int) {
+	c.IntU32(lo)
+	c.IntU32(hi)
+	if c.Err() == nil && (*hi <= *lo || *hi-*lo > maxSpanLayouts) {
+		c.Failf("invalid layout span [%d, %d)", *lo, *hi)
 	}
 }
 
-// phaseWords lists one phase row's fields in fixed wire order, mirroring
-// counterWords for sim.PhaseResult.
-func phaseWords(p *sim.PhaseResult) [17]*uint64 {
-	c := &p.Counters
-	return [17]*uint64{
-		&c.R, &c.H, &c.M, &c.C, &c.Instructions,
-		&c.L1DLoadsProgram, &c.L1DLoadsWalker,
-		&c.L2LoadsProgram, &c.L2LoadsWalker,
-		&c.L3LoadsProgram, &c.L3LoadsWalker,
-		&c.DRAMLoadsProgram, &c.DRAMLoadsWalker,
-		&c.TLBLookups,
-		&p.WalkRefs, &p.MeasuredAccesses, &p.TotalAccesses,
+// walkEnvelope walks the magic, version, and kind bytes every payload
+// opens with.
+func walkEnvelope(c *binfmt.Codec, kind byte) {
+	c.Tag(magic[:], "magic")
+	c.Tag([]byte{wireVersion}, "MOSSHRD version")
+	c.Tag([]byte{kind}, "payload kind")
+}
+
+// walkCounters walks one result row's counters in fixed wire order;
+// Result and PhaseResult rows share it.
+func walkCounters(c *binfmt.Codec, k *pmu.Counters, walkRefs, measured, total *uint64) {
+	for _, w := range []*uint64{
+		&k.R, &k.H, &k.M, &k.C, &k.Instructions,
+		&k.L1DLoadsProgram, &k.L1DLoadsWalker,
+		&k.L2LoadsProgram, &k.L2LoadsWalker,
+		&k.L3LoadsProgram, &k.L3LoadsWalker,
+		&k.DRAMLoadsProgram, &k.DRAMLoadsWalker,
+		&k.TLBLookups,
+		walkRefs, measured, total,
+	} {
+		c.U64(w)
 	}
 }
 
-// header starts a payload of the given kind.
-func header(kind byte) []byte {
-	b := make([]byte, 0, 256)
-	b = append(b, magic[:]...)
-	b = append(b, wireVersion, kind)
-	return b
+// walk is the spec payload layout: Encode and DecodeSpec both run it.
+func (s *ShardSpec) walk(c *binfmt.Codec) {
+	walkEnvelope(c, kindSpec)
+	for _, f := range []*string{&s.Key, &s.Job, &s.Workload, &s.Platform, &s.Proto} {
+		c.Str(f, maxStrLen)
+	}
+	sp := &s.Sampling
+	for _, f := range []*int{&sp.Period, &sp.MeasureLen, &sp.WarmupLen, &sp.PrologueLen} {
+		c.IntU32(f)
+	}
+	walkSpan(c, &s.Lo, &s.Hi)
 }
 
-// seal appends the checksum trailer.
-//
-//mosvet:codecskip the trailer is written last on encode but verified first by open, so its u64 is positionally asymmetric by design
-func seal(b []byte) []byte { return appendU64(b, fnv1a(b)) }
-
-// validSpan checks a shard's layout span.
-func validSpan(lo, hi int) error {
-	if lo < 0 || hi <= lo || hi-lo > maxSpanLayouts {
-		return fmt.Errorf("cluster: invalid layout span [%d, %d)", lo, hi)
+// walk is the result payload layout: Encode and DecodeResult both run it.
+func (r *ShardResult) walk(c *binfmt.Codec) {
+	walkEnvelope(c, kindResult)
+	c.Str(&r.Key, maxStrLen)
+	c.Str(&r.Job, maxStrLen)
+	walkSpan(c, &r.Lo, &r.Hi)
+	if c.Err() != nil {
+		return
 	}
-	return nil
+	if !c.Decoding() && len(r.Results) != r.Hi-r.Lo {
+		c.Failf("shard %s carries %d results for a %d-layout span", r.Key, len(r.Results), r.Hi-r.Lo)
+	}
+	binfmt.Slice(c, &r.Results, r.Hi-r.Lo, func(lr *LayoutResult) {
+		res := &lr.Result
+		c.Str(&lr.Layout, maxStrLen)
+		walkCounters(c, &res.Counters, &res.WalkRefs, &res.MeasuredAccesses, &res.TotalAccesses)
+		n := c.Len16(len(res.Phases), maxWirePhases, "phase rows")
+		binfmt.Slice(c, &res.Phases, n, func(ph *sim.PhaseResult) {
+			c.Str(&ph.Name, maxStrLen)
+			walkCounters(c, &ph.Counters, &ph.WalkRefs, &ph.MeasuredAccesses, &ph.TotalAccesses)
+		})
+	})
 }
 
-// Encode serializes the spec as a MOSSHRD01 payload.
-func (s *ShardSpec) Encode() ([]byte, error) {
-	for _, str := range []string{s.Key, s.Job, s.Workload, s.Platform, s.Proto} {
-		if len(str) > maxStrLen {
-			return nil, fmt.Errorf("cluster: string field of %d bytes exceeds the %d-byte wire bound", len(str), maxStrLen)
-		}
+// encode runs a payload walk in encode mode and seals the bytes.
+func encode(walk func(*binfmt.Codec)) ([]byte, error) {
+	c := binfmt.NewEncoder()
+	walk(c)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if err := validSpan(s.Lo, s.Hi); err != nil {
-		return nil, err
-	}
-	for _, v := range []int{s.Sampling.Period, s.Sampling.MeasureLen, s.Sampling.WarmupLen, s.Sampling.PrologueLen} {
-		if v < 0 || v > math.MaxUint32 {
-			return nil, fmt.Errorf("cluster: sampling parameter %d outside the u32 wire range", v)
-		}
-	}
-	b := header(kindSpec)
-	b = appendStr(b, s.Key)
-	b = appendStr(b, s.Job)
-	b = appendStr(b, s.Workload)
-	b = appendStr(b, s.Platform)
-	b = appendStr(b, s.Proto)
-	b = appendU32(b, uint32(s.Sampling.Period))
-	b = appendU32(b, uint32(s.Sampling.MeasureLen))
-	b = appendU32(b, uint32(s.Sampling.WarmupLen))
-	b = appendU32(b, uint32(s.Sampling.PrologueLen))
-	b = appendU32(b, uint32(s.Lo))
-	b = appendU32(b, uint32(s.Hi))
-	return seal(b), nil
+	return binfmt.Seal(c.Bytes()), nil
 }
 
-// Encode serializes the result as a MOSSHRD01 payload.
-func (r *ShardResult) Encode() ([]byte, error) {
-	for _, str := range []string{r.Key, r.Job} {
-		if len(str) > maxStrLen {
-			return nil, fmt.Errorf("cluster: string field of %d bytes exceeds the %d-byte wire bound", len(str), maxStrLen)
-		}
-	}
-	if err := validSpan(r.Lo, r.Hi); err != nil {
-		return nil, err
-	}
-	if len(r.Results) != r.Hi-r.Lo {
-		return nil, fmt.Errorf("cluster: shard %s carries %d results for a %d-layout span", r.Key, len(r.Results), r.Hi-r.Lo)
-	}
-	b := header(kindResult)
-	b = appendStr(b, r.Key)
-	b = appendStr(b, r.Job)
-	b = appendU32(b, uint32(r.Lo))
-	b = appendU32(b, uint32(r.Hi))
-	for i := range r.Results {
-		lr := &r.Results[i]
-		if len(lr.Layout) > maxStrLen {
-			return nil, fmt.Errorf("cluster: layout name of %d bytes exceeds the %d-byte wire bound", len(lr.Layout), maxStrLen)
-		}
-		b = appendStr(b, lr.Layout)
-		for _, w := range counterWords(&lr.Result) {
-			b = appendU64(b, *w)
-		}
-		if len(lr.Result.Phases) > maxWirePhases {
-			return nil, fmt.Errorf("cluster: layout %s carries %d phase rows, wire bound is %d",
-				lr.Layout, len(lr.Result.Phases), maxWirePhases)
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(lr.Result.Phases)))
-		for pi := range lr.Result.Phases {
-			ph := &lr.Result.Phases[pi]
-			if len(ph.Name) > maxStrLen {
-				return nil, fmt.Errorf("cluster: phase name of %d bytes exceeds the %d-byte wire bound", len(ph.Name), maxStrLen)
-			}
-			b = appendStr(b, ph.Name)
-			for _, w := range phaseWords(ph) {
-				b = appendU64(b, *w)
-			}
-		}
-	}
-	return seal(b), nil
-}
-
-// reader is a bounds-checked cursor over a payload.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, fmt.Errorf("cluster: truncated payload (%d bytes, need %d more at offset %d)", len(r.b), n, r.off)
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > maxStrLen {
-		return "", fmt.Errorf("cluster: string field of %d bytes exceeds the %d-byte wire bound", n, maxStrLen)
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// open validates magic, version, kind, and the checksum trailer, returning
-// a cursor over the payload body.
-//
-//mosvet:codecskip reads the seal trailer (end of buffer) before the body, the mirror image of seal's write-last placement
-func open(b []byte, kind byte) (*reader, error) {
+// decode verifies a payload's checksum trailer, then runs its walk in
+// decode mode over the body and rejects trailing bytes.
+func decode(b []byte, walk func(*binfmt.Codec)) error {
 	if len(b) < len(magic)+2+8 {
-		return nil, fmt.Errorf("cluster: payload of %d bytes is shorter than the MOSSHRD01 envelope", len(b))
+		return fmt.Errorf("cluster: payload of %d bytes is shorter than the MOSSHRD02 envelope", len(b))
 	}
-	if string(b[:len(magic)]) != string(magic[:]) {
-		return nil, fmt.Errorf("cluster: bad magic %q (want %q)", b[:len(magic)], magic)
+	body, err := binfmt.Open(b)
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	if v := b[len(magic)]; v != wireVersion {
-		return nil, fmt.Errorf("cluster: unsupported MOSSHRD version %q (want %q)", v, wireVersion)
+	c := binfmt.NewDecoder(bytes.NewReader(body))
+	walk(c)
+	if c.Err() == nil && c.N() != int64(len(body)) {
+		c.Failf("%d trailing bytes after payload", int64(len(body))-c.N())
 	}
-	if k := b[len(magic)+1]; k != kind {
-		return nil, fmt.Errorf("cluster: payload kind %q, want %q", k, kind)
-	}
-	body, trailer := b[:len(b)-8], b[len(b)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), fnv1a(body); got != want {
-		return nil, fmt.Errorf("cluster: checksum mismatch (%016x, want %016x)", got, want)
-	}
-	return &reader{b: body, off: len(magic) + 2}, nil
-}
-
-// done rejects trailing bytes after a fully decoded payload.
-func (r *reader) done() error {
-	if r.off != len(r.b) {
-		return fmt.Errorf("cluster: %d trailing bytes after payload", len(r.b)-r.off)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
 
-// DecodeSpec parses a MOSSHRD01 shard-spec payload.
+// Encode serializes the spec as a MOSSHRD02 payload.
+func (s *ShardSpec) Encode() ([]byte, error) { return encode(s.walk) }
+
+// Encode serializes the result as a MOSSHRD02 payload.
+func (r *ShardResult) Encode() ([]byte, error) { return encode(r.walk) }
+
+// DecodeSpec parses a MOSSHRD02 shard-spec payload.
 func DecodeSpec(b []byte) (*ShardSpec, error) {
-	r, err := open(b, kindSpec)
-	if err != nil {
-		return nil, err
-	}
 	var s ShardSpec
-	for _, dst := range []*string{&s.Key, &s.Job, &s.Workload, &s.Platform, &s.Proto} {
-		if *dst, err = r.str(); err != nil {
-			return nil, err
-		}
-	}
-	var words [6]uint32
-	for i := range words {
-		if words[i], err = r.u32(); err != nil {
-			return nil, err
-		}
-	}
-	s.Sampling = sim.Sampling{
-		Period:      int(words[0]),
-		MeasureLen:  int(words[1]),
-		WarmupLen:   int(words[2]),
-		PrologueLen: int(words[3]),
-	}
-	s.Lo, s.Hi = int(words[4]), int(words[5])
-	if err := validSpan(s.Lo, s.Hi); err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
+	if err := decode(b, s.walk); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
-// DecodeResult parses a MOSSHRD01 shard-result payload.
+// DecodeResult parses a MOSSHRD02 shard-result payload.
 func DecodeResult(b []byte) (*ShardResult, error) {
-	r, err := open(b, kindResult)
-	if err != nil {
+	var r ShardResult
+	if err := decode(b, r.walk); err != nil {
 		return nil, err
 	}
-	var res ShardResult
-	if res.Key, err = r.str(); err != nil {
-		return nil, err
-	}
-	if res.Job, err = r.str(); err != nil {
-		return nil, err
-	}
-	lo, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	hi, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	res.Lo, res.Hi = int(lo), int(hi)
-	if err := validSpan(res.Lo, res.Hi); err != nil {
-		return nil, err
-	}
-	res.Results = make([]LayoutResult, res.Hi-res.Lo)
-	for i := range res.Results {
-		lr := &res.Results[i]
-		if lr.Layout, err = r.str(); err != nil {
-			return nil, err
-		}
-		for _, w := range counterWords(&lr.Result) {
-			if *w, err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-		nPhases, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(nPhases) > maxWirePhases {
-			return nil, fmt.Errorf("cluster: layout %s declares %d phase rows, wire bound is %d",
-				lr.Layout, nPhases, maxWirePhases)
-		}
-		if nPhases > 0 {
-			lr.Result.Phases = make([]sim.PhaseResult, nPhases)
-			for pi := range lr.Result.Phases {
-				ph := &lr.Result.Phases[pi]
-				if ph.Name, err = r.str(); err != nil {
-					return nil, err
-				}
-				for _, w := range phaseWords(ph) {
-					if *w, err = r.u64(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return &r, nil
 }

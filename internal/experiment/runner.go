@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"mosaic/internal/arch"
+	"mosaic/internal/binfmt"
 	"mosaic/internal/ckpt"
 	"mosaic/internal/layout"
 	"mosaic/internal/libc"
@@ -227,7 +229,7 @@ func (r *Runner) generate(w workloads.Workload) (*WorkloadData, error) {
 // FNV-1a hash of the full name disambiguates the file stem.
 func (r *Runner) cachePaths(name string) (traceFile, targetFile string) {
 	safe := strings.NewReplacer("/", "_", " ", "_").Replace(name)
-	stem := fmt.Sprintf("%s-%08x", safe, uint32(fnv1a(name)))
+	stem := fmt.Sprintf("%s-%08x", safe, uint32(binfmt.FNV1a(name)))
 	return filepath.Join(r.TraceDir, stem+".mostrace"),
 		filepath.Join(r.TraceDir, stem+".target.json")
 }
@@ -276,44 +278,10 @@ func (r *Runner) saveCached(wd *WorkloadData) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(targetFile, raw, 0o644)
-}
-
-// writeFileAtomic writes data via a same-directory temp file + rename, so
-// an interrupted run never leaves a truncated cache sidecar for a later
-// session to trip over (Trace.Save gives the trace file the same
-// guarantee).
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
+	return binfmt.WriteFileAtomic(targetFile, 0o644, func(w io.Writer) error {
+		_, err := w.Write(raw)
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, perm); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // buildSpace runs the address-space stage for one layout: a modelled
@@ -900,17 +868,7 @@ func (p *PairMeasurer) Measure(ctx context.Context, lays []layout.Layout, s sim.
 // layout replay.
 func (p *PairMeasurer) TraceLen() uint64 { return uint64(p.WD.Trace.Len()) }
 
-// fnv1a hashes a string with 64-bit FNV-1a.
-func fnv1a(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // seedFor derives a stable seed from a dataset key.
 func seedFor(key string) int64 {
-	return int64(fnv1a(key) & 0x7fffffffffffffff)
+	return int64(binfmt.FNV1a(key) & 0x7fffffffffffffff)
 }

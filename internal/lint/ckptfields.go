@@ -3,18 +3,17 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// CkptFields enforces the checkpoint contract end to end: every field of a
-// type returned by an exported Snapshot method must be written by the
-// Snapshot closure (the method plus its transitive same-package callees),
-// read back by the paired Restore closure, and — for every struct
-// reachable from a snapshot type — carried by the checkpoint codec's
-// encode and decode paths. "Added a counter to cache.Hierarchy, forgot
-// the checkpoint" becomes a build failure instead of a golden-test miss
-// three layers away.
+// CkptFields enforces the checkpoint contract: every field of a type
+// returned by an exported Snapshot method must be written by the Snapshot
+// closure (the method plus its transitive same-package callees) and read
+// back by the paired Restore closure. "Added a counter to cache.Hierarchy,
+// forgot the checkpoint" becomes a build failure instead of a golden-test
+// miss three layers away. (That the MOSCKPT01 codec carries every field is
+// not a lint: its encoder and decoder are one binfmt walk, and a
+// reflection round-trip test in internal/binfmt fills every field.)
 //
 // Deliberately-omitted fields are declared per function with
 //
@@ -23,7 +22,7 @@ import (
 // in the doc comment of any function in the relevant closure. Unlike a
 // line-level ignore, an exemption names the fields it covers: adding a new
 // field later still fails the build. The same directive exempts receiver
-// fields from the capture check and codec-side omissions.
+// fields from the capture check.
 //
 // When the snapshot type lives in the same package as the receiver (the
 // leaf state owners), the receiver's own fields must each be referenced by
@@ -33,37 +32,16 @@ import (
 // rule alone.
 var CkptFields = &Analyzer{
 	Name:      "ckptfields",
-	Doc:       "require Snapshot to write, Restore to read, and the checkpoint codec to carry every field of every snapshot type",
+	Doc:       "require Snapshot to write and Restore to read every field of every snapshot type",
 	RunModule: runCkptFields,
 }
 
 func runCkptFields(pkgs []*Package, cfg *Config) []Finding {
 	var out []Finding
-	moduleScope := make(map[*types.Package]bool, len(pkgs))
-	for _, p := range pkgs {
-		moduleScope[p.Types] = true
-	}
-	stateSeen := make(map[*types.Named]bool)
-	var stateTypes []*types.Named
 	for _, p := range pkgs {
 		for _, c := range ckptContracts(p) {
 			out = append(out, checkContract(p, c)...)
-			collectStateTypes(c.state, moduleScope, stateSeen, &stateTypes)
 		}
-	}
-	sort.Slice(stateTypes, func(i, j int) bool {
-		a, b := stateTypes[i].Obj(), stateTypes[j].Obj()
-		if a.Pkg().Path() != b.Pkg().Path() {
-			return a.Pkg().Path() < b.Pkg().Path()
-		}
-		return a.Name() < b.Name()
-	})
-	for _, p := range pkgs {
-		if !pathSuffixIn(p.Path, cfg.CkptCodecPackages) {
-			continue
-		}
-		out = append(out, checkCodecSide(p, "encode", stateTypes)...)
-		out = append(out, checkCodecSide(p, "decode", stateTypes)...)
 	}
 	return out
 }
@@ -191,90 +169,6 @@ func checkContract(p *Package, c ckptContract) []Finding {
 		}
 	}
 	return out
-}
-
-// checkCodecSide requires the package's encode (or decode) closure to
-// carry every field of every state type it touches at all.
-func checkCodecSide(p *Package, side string, stateTypes []*types.Named) []Finding {
-	var roots []*ast.FuncDecl
-	rootName, rootPrefix := "Encode", "encode"
-	if side == "decode" {
-		rootName, rootPrefix = "Decode", "decode"
-	}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fd.Name.Name == rootName || strings.HasPrefix(fd.Name.Name, rootPrefix) {
-				roots = append(roots, fd)
-			}
-		}
-	}
-	if len(roots) == 0 {
-		return nil
-	}
-	seen := make(map[*ast.FuncDecl]bool)
-	var closure []*ast.FuncDecl
-	for _, r := range roots {
-		for _, d := range sameFnClosure(p, r) {
-			if !seen[d] {
-				seen[d] = true
-				closure = append(closure, d)
-			}
-		}
-	}
-	exempt := exemptFields(closure)
-	var out []Finding
-	for _, T := range stateTypes {
-		tFields, _ := structFields(T)
-		mentioned := fieldMentions(p, closure, fieldSet(tFields))
-		if len(mentioned) == 0 {
-			continue // this codec does not carry T at all
-		}
-		for _, f := range tFields {
-			if !mentioned[f] && !exempt[f.Name()] {
-				out = append(out, p.finding("ckptfields", roots[0].Name,
-					"checkpoint codec %s path carries %s.%s partially: field %s is never referenced — extend the codec in lockstep or declare //mosvet:ckptexempt %s <reason>",
-					side, T.Obj().Pkg().Name(), T.Obj().Name(), f.Name(), f.Name()))
-			}
-		}
-	}
-	return out
-}
-
-// collectStateTypes walks the struct graph reachable from a snapshot type
-// through fields, pointers, slices, and arrays, keeping module-defined
-// named structs.
-func collectStateTypes(n *types.Named, scope map[*types.Package]bool, seen map[*types.Named]bool, out *[]*types.Named) {
-	if n == nil || seen[n] || n.Obj().Pkg() == nil || !scope[n.Obj().Pkg()] {
-		return
-	}
-	st, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-	seen[n] = true
-	*out = append(*out, n)
-	for i := 0; i < st.NumFields(); i++ {
-		t := st.Field(i).Type()
-		for {
-			switch u := t.(type) {
-			case *types.Pointer:
-				t = u.Elem()
-				continue
-			case *types.Slice:
-				t = u.Elem()
-				continue
-			case *types.Array:
-				t = u.Elem()
-				continue
-			}
-			break
-		}
-		collectStateTypes(namedOf(t), scope, seen, out)
-	}
 }
 
 // sameFnClosure returns root plus its transitive same-package callees in

@@ -124,60 +124,3 @@ func (w *Wrap) Restore(s engine.State) { w.inner.Restore(s) }
 	}, ckptCfg())
 	wantFindings(t, got)
 }
-
-// TestCkptFieldsCodecCoverage: the checkpoint codec package must carry
-// every field of every struct reachable from a snapshot type — on both the
-// encode and decode sides — once it touches the type at all.
-func TestCkptFieldsCodecCoverage(t *testing.T) {
-	engineSrc := `package engine
-type Stats struct{ Hits, Misses uint64 }
-type Box struct{ hits, misses uint64 }
-func (x *Box) Snapshot() Stats { return Stats{Hits: x.hits, Misses: x.misses} }
-func (x *Box) Restore(s Stats) { x.hits = s.Hits; x.misses = s.Misses }
-`
-	t.Run("partial carry on encode is caught", func(t *testing.T) {
-		got := analyzeModuleSrc(t, map[string]map[string]string{
-			"internal/engine": {"box.go": engineSrc},
-			"internal/ckpt": {"codec.go": `package ckpt
-import "synthetic/internal/engine"
-func Encode(b []byte, s *engine.Stats) []byte { return append(b, byte(s.Hits)) }
-func Decode(b []byte) *engine.Stats {
-	return &engine.Stats{Hits: uint64(b[0]), Misses: uint64(b[1])}
-}
-`},
-		}, ckptCfg())
-		wantFindings(t, got, "internal/ckpt/codec.go:3:ckptfields")
-	})
-	t.Run("full carry is clean", func(t *testing.T) {
-		got := analyzeModuleSrc(t, map[string]map[string]string{
-			"internal/engine": {"box.go": engineSrc},
-			"internal/ckpt": {"codec.go": `package ckpt
-import "synthetic/internal/engine"
-func Encode(b []byte, s *engine.Stats) []byte {
-	return append(append(b, byte(s.Hits)), byte(s.Misses))
-}
-func Decode(b []byte) *engine.Stats {
-	return &engine.Stats{Hits: uint64(b[0]), Misses: uint64(b[1])}
-}
-`},
-		}, ckptCfg())
-		wantFindings(t, got)
-	})
-	t.Run("codec-side ckptexempt", func(t *testing.T) {
-		got := analyzeModuleSrc(t, map[string]map[string]string{
-			"internal/engine": {"box.go": engineSrc},
-			"internal/ckpt": {"codec.go": `package ckpt
-import "synthetic/internal/engine"
-// Encode serializes the stats.
-//
-//mosvet:ckptexempt Misses Misses is recomputed as Lookups-Hits by the consumer
-func Encode(b []byte, s *engine.Stats) []byte { return append(b, byte(s.Hits)) }
-// Decode deserializes the stats.
-//
-//mosvet:ckptexempt Misses Misses is recomputed as Lookups-Hits by the consumer
-func Decode(b []byte) *engine.Stats { return &engine.Stats{Hits: uint64(b[0])} }
-`},
-		}, ckptCfg())
-		wantFindings(t, got)
-	})
-}

@@ -23,11 +23,6 @@ type Config struct {
 	// made while a lock is held.
 	LockOrderPackages []string
 
-	// CkptCodecPackages are the packages holding hand-rolled checkpoint
-	// codecs; ckptfields requires their encode and decode paths to carry
-	// every field of every state struct reachable from a Snapshot type.
-	CkptCodecPackages []string
-
 	// PhaseOwnerPackages are the packages allowed to construct
 	// trace.Phase values and mutate Phase fields. Everywhere else,
 	// phasebound flags raw Phase construction and partition arithmetic —
@@ -94,11 +89,9 @@ func DefaultConfig() *Config {
 			"internal/cluster",
 			"internal/serve",
 			"internal/serve/registry",
-		},
-		// MOSCKPT01 lives here; its Encode/Decode must carry every field
-		// of every struct reachable from a Snapshot type.
-		CkptCodecPackages: []string{
-			"internal/ckpt",
+			// Not a lock owner: scoped so that a call into
+			// binfmt.WriteFileAtomic under a serving lock is seen to block.
+			"internal/binfmt",
 		},
 		// Only the trace package may build Phase values; everyone else
 		// goes through Phases-validated constructors.

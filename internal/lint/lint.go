@@ -72,7 +72,6 @@ func Analyzers() []*Analyzer {
 		LockIO,
 		HotPath,
 		CkptFields,
-		CodecSym,
 		LockOrder,
 		PhaseBound,
 	}
@@ -97,7 +96,7 @@ func Run(pkgs []*Package, cfg *Config) []Finding {
 }
 
 // RunInventory is Run plus the module's exemption inventory: every
-// //mosvet:ignore, ckptexempt, codecskip, and timing directive found in the
+// //mosvet:ignore, ckptexempt, and timing directive found in the
 // analyzed packages, in deterministic order. The inventory is what the
 // committed suppression-audit baseline pins — a new exemption changes the
 // inventory and fails the baseline guard until it is re-generated (and
@@ -151,8 +150,8 @@ func sortFindings(out []Finding) {
 const directivePrefix = "//mosvet:"
 
 // Suppression is one exemption directive in the analyzed source: an inline
-// //mosvet:ignore, a //mosvet:ckptexempt field exclusion, a
-// //mosvet:codecskip envelope marker, or a //mosvet:timing clock scope.
+// //mosvet:ignore, a //mosvet:ckptexempt field exclusion, or a
+// //mosvet:timing clock scope.
 // The set of suppressions is the audit surface the committed baseline pins.
 type Suppression struct {
 	File      string   `json:"file"`
@@ -166,16 +165,14 @@ type Suppression struct {
 // "//mosvet:" is a typo and is reported (a misspelled directive that
 // silently does nothing is worse than no directive).
 var directiveKinds = map[string]bool{
-	"ignore": true, "timing": true, "hotpath": true,
-	"ckptexempt": true, "codecskip": true, "codecpair": true,
+	"ignore": true, "timing": true, "hotpath": true, "ckptexempt": true,
 }
 
 // inventoried marks the directive kinds that are exemptions from an
 // invariant (and therefore belong in the audit baseline). hotpath opts
-// *into* stricter checking and codecpair adds a check, so neither is an
-// exemption.
+// *into* stricter checking, so it is not an exemption.
 var inventoried = map[string]bool{
-	"ignore": true, "timing": true, "ckptexempt": true, "codecskip": true,
+	"ignore": true, "timing": true, "ckptexempt": true,
 }
 
 // directives is the module-wide index of every mosvet comment directive:

@@ -583,7 +583,7 @@ func TestMultiFilePackage(t *testing.T) {
 }
 
 func TestAnalyzerNamesStable(t *testing.T) {
-	want := []string{"detclock", "maporder", "floateq", "lockio", "hotpath", "ckptfields", "codecsym", "lockorder", "phasebound"}
+	want := []string{"detclock", "maporder", "floateq", "lockio", "hotpath", "ckptfields", "lockorder", "phasebound"}
 	got := AnalyzerNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("analyzer set changed: got %v want %v (update docs/static-analysis.md)", got, want)

@@ -1,7 +1,7 @@
 // Machine-readable mosvet output: the JSON report CI archives, the SARIF
 // rendering code-scanning UIs ingest, and the committed suppression-audit
 // baseline. The baseline pins the module's exemption inventory — every
-// //mosvet:ignore, ckptexempt, codecskip, and timing directive — so a new
+// //mosvet:ignore, ckptexempt, and timing directive — so a new
 // exemption fails CI until it is regenerated (and thereby reviewed) in the
 // same change. Entries are compared by file, directive, checks, and reason;
 // the recorded line is a navigation hint refreshed on regeneration, not

@@ -13,8 +13,8 @@ func sampleResult() *ModuleResult {
 	return &ModuleResult{
 		Root: "/mod",
 		Findings: []Finding{{
-			Check:   "codecsym",
-			Message: "encode/decode skew",
+			Check:   "lockorder",
+			Message: "lock cycle",
 			Pos:     token.Position{Filename: "/mod/internal/cluster/wire.go", Line: 42, Column: 7},
 		}},
 		Suppressions: []Suppression{
@@ -44,7 +44,7 @@ func TestSARIFDocument(t *testing.T) {
 		t.Fatalf("SARIF output is not JSON: %v", err)
 	}
 	s := string(data)
-	for _, want := range []string{`"2.1.0"`, `"codecsym"`, `"internal/cluster/wire.go"`, `"%SRCROOT%"`} {
+	for _, want := range []string{`"2.1.0"`, `"lockorder"`, `"internal/cluster/wire.go"`, `"%SRCROOT%"`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("SARIF missing %s", want)
 		}
@@ -147,16 +147,6 @@ func f() {}
 `
 		got := analyze(t, "internal/sim", src, DefaultConfig())
 		wantFindings(t, got, "2:mosvet")
-	})
-	t.Run("codecskip needs no field list", func(t *testing.T) {
-		src := `package p
-// seal appends the trailer.
-//
-//mosvet:codecskip asymmetric by design
-func seal(b []byte) []byte { return b }
-`
-		got := analyze(t, "internal/sim", src, DefaultConfig())
-		wantFindings(t, got)
 	})
 }
 

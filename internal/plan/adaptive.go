@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mosaic/internal/arch"
+	"mosaic/internal/binfmt"
 	"mosaic/internal/experiment"
 	"mosaic/internal/pmu"
 	"mosaic/internal/sim"
@@ -31,7 +32,7 @@ func Adaptive(ctx context.Context, r *experiment.Runner, w workloads.Workload, p
 	}
 	lays := r.ProtocolLayouts(wd, plat)
 	if cfg.Seed == 0 {
-		cfg.Seed = int64(fnv1a(w.Name()+"@"+plat.Name) & 0x7fffffffffffffff)
+		cfg.Seed = int64(binfmt.FNV1a(w.Name()+"@"+plat.Name) & 0x7fffffffffffffff)
 	}
 	if cfg.Anchors == nil {
 		cfg.Anchors = []string{"4KB", "2MB"}
@@ -77,15 +78,4 @@ func assembleDataset(workload, platform string, rep *Report) (*experiment.Datase
 	}
 	ds.TLBSensitive = s4k.R > 0 && (s4k.R-ds.Sample1G.R)/s4k.R >= 0.05
 	return ds, nil
-}
-
-// fnv1a hashes a string with 64-bit FNV-1a (the repo's standard stable
-// seed derivation).
-func fnv1a(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/binfmt"
 	"mosaic/internal/cluster"
 	"mosaic/internal/experiment"
 	"mosaic/internal/plan"
@@ -142,12 +143,7 @@ func (s JobSpec) Hash() string {
 		}
 	}
 	raw, _ := json.Marshal(canon) // struct of strings/ints/bools cannot fail
-	var h uint64 = 14695981039346656037
-	for _, b := range raw {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", binfmt.FNV1a(raw))
 }
 
 // AdaptiveResult summarizes a planned sweep: how the budget was spent

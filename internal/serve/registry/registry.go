@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/binfmt"
 	"mosaic/internal/experiment"
 	"mosaic/internal/models"
 	"mosaic/internal/pmu"
@@ -141,7 +143,7 @@ func (r *Registry) Dir() string { return r.dir }
 func (r *Registry) pairPath(workload, platform string) string {
 	k := key(workload, platform)
 	safe := strings.NewReplacer("/", "_", " ", "_", "@", "_").Replace(k)
-	return filepath.Join(r.dir, fmt.Sprintf("%s-%08x.json", safe, uint32(fnv1a(k))))
+	return filepath.Join(r.dir, fmt.Sprintf("%s-%08x.json", safe, uint32(binfmt.FNV1a(k))))
 }
 
 // Train fits the named models (nil/empty = every registry model) on the
@@ -199,7 +201,7 @@ func (r *Registry) Train(ds *experiment.Dataset, names []string) error {
 		r.stamps[path] = fileStamp{
 			size:  fi.Size(),
 			mtime: fi.ModTime(),
-			hash:  fnv1aBytes(raw),
+			hash:  binfmt.FNV1a(raw),
 			at:    time.Now(),
 		}
 		r.files[key(pair.Workload, pair.Platform)] = path
@@ -236,7 +238,11 @@ func (r *Registry) persist(pair *Pair) (string, []byte, error) {
 		return "", nil, err
 	}
 	path := r.pairPath(pair.Workload, pair.Platform)
-	if err := writeFileAtomic(path, raw, 0o644); err != nil {
+	err = binfmt.WriteFileAtomic(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
+	if err != nil {
 		return "", nil, err
 	}
 	return path, raw, nil
@@ -324,7 +330,7 @@ func (r *Registry) Reload() (int, error) {
 		if err != nil {
 			continue
 		}
-		stamp.hash = fnv1aBytes(raw)
+		stamp.hash = binfmt.FNV1a(raw)
 		stamp.at = time.Now()
 		if known && sameContent(prev, stamp) {
 			// Identical bytes: refresh the stamp (so a now-settled mtime
@@ -561,59 +567,4 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.pairs)
-}
-
-// writeFileAtomic writes via a same-directory temp file + rename so a
-// crashed daemon never leaves a truncated registry file.
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, perm); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// fnv1aBytes hashes file content with 64-bit FNV-1a.
-func fnv1aBytes(b []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// fnv1a hashes a string with 64-bit FNV-1a.
-func fnv1a(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

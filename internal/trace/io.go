@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"mosaic/internal/binfmt"
 	"mosaic/internal/mem"
 )
 
@@ -60,7 +60,8 @@ import (
 // flags: bit0 = write, bit1 = dependent. All fixed-width integers are
 // little-endian. Readers accept both formats (dispatch on magic); writers
 // emit v02 unless WriteToV01 is called explicitly (v01 cannot carry
-// phases).
+// phases). The header and the phase section are internal/binfmt field
+// walks; the block columns are encoded by hand.
 
 var (
 	traceMagicV01 = [8]byte{'M', 'O', 'S', 'T', 'R', 'C', '0', '1'}
@@ -96,12 +97,63 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// header is the magic/name/count prefix both formats share.
+type header struct {
+	magic [8]byte
+	name  string
+	count uint64
+}
+
+// walk is the header layout: WriteTo, WriteToV01, and ReadFrom all run it.
+func (h *header) walk(c *binfmt.Codec) {
+	c.Raw(h.magic[:])
+	if h.magic != traceMagicV01 && h.magic != traceMagicV02 {
+		c.Failf("bad magic %q", h.magic[:])
+	}
+	c.Str(&h.name, maxNameLen)
+	c.U64(&h.count)
+	if h.count > maxAccesses {
+		c.Failf("implausible access count %d", h.count)
+	}
+}
+
+// walkPhases walks the trailing MPH1 phase section.
+func walkPhases(c *binfmt.Codec, phases *[]Phase) {
+	c.Tag(phaseMarker[:], "phase-section marker")
+	n := c.Len16(len(*phases), maxPhases, "phase count")
+	if c.Err() == nil && n == 0 {
+		c.Failf("implausible phase count 0")
+	}
+	binfmt.Slice(c, phases, n, func(p *Phase) {
+		c.Str(&p.Name, maxNameLen)
+		lo, hi := uint64(p.Lo), uint64(p.Hi)
+		c.U64(&lo)
+		c.U64(&hi)
+		if lo > maxAccesses || hi > maxAccesses {
+			c.Failf("implausible phase bounds [%d, %d)", lo, hi)
+		}
+		if c.Decoding() {
+			p.Lo, p.Hi = int(lo), int(hi)
+		}
+	})
+}
+
+// writeWalk encodes one field walk to w.
+func writeWalk(w io.Writer, walk func(*binfmt.Codec)) (int64, error) {
+	c := binfmt.NewEncoder()
+	walk(c)
+	if err := c.Err(); err != nil {
+		return 0, fmt.Errorf("trace: %w", err)
+	}
+	n, err := w.Write(c.Bytes())
+	return int64(n), err
+}
+
 // WriteTo serializes the trace in the MOSTRC02 block-columnar format.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	var written int64
-	n, err := writeHeader(bw, traceMagicV02, t.Name, uint64(t.cols.Len()))
-	written += n
+	h := header{magic: traceMagicV02, name: t.Name, count: uint64(t.cols.Len())}
+	written, err := writeWalk(bw, h.walk)
 	if err != nil {
 		return written, err
 	}
@@ -151,7 +203,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		written += int64(len(payload))
 	}
 	if len(t.phases) > 0 {
-		n, err := writePhaseSection(bw, t.phases)
+		n, err := writeWalk(bw, func(c *binfmt.Codec) { walkPhases(c, &t.phases) })
 		written += n
 		if err != nil {
 			return written, err
@@ -160,45 +212,11 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// writePhaseSection emits the trailing MPH1 phase section.
-func writePhaseSection(bw *bufio.Writer, phases []Phase) (int64, error) {
-	var written int64
-	var buf [16]byte
-	copy(buf[0:4], phaseMarker[:])
-	binary.LittleEndian.PutUint16(buf[4:6], uint16(len(phases)))
-	if _, err := bw.Write(buf[:6]); err != nil {
-		return written, err
-	}
-	written += 6
-	for _, p := range phases {
-		if len(p.Name) > maxNameLen {
-			return written, fmt.Errorf("trace: phase name too long (%d bytes)", len(p.Name))
-		}
-		binary.LittleEndian.PutUint16(buf[0:2], uint16(len(p.Name)))
-		if _, err := bw.Write(buf[:2]); err != nil {
-			return written, err
-		}
-		written += 2
-		if _, err := bw.WriteString(p.Name); err != nil {
-			return written, err
-		}
-		written += int64(len(p.Name))
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(p.Lo))
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(p.Hi))
-		if _, err := bw.Write(buf[:16]); err != nil {
-			return written, err
-		}
-		written += 16
-	}
-	return written, nil
-}
-
 // WriteToV01 serializes the trace in the legacy MOSTRC01 row format.
 func (t *Trace) WriteToV01(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	var written int64
-	n, err := writeHeader(bw, traceMagicV01, t.Name, uint64(t.cols.Len()))
-	written += n
+	h := header{magic: traceMagicV01, name: t.Name, count: uint64(t.cols.Len())}
+	written, err := writeWalk(bw, h.walk)
 	if err != nil {
 		return written, err
 	}
@@ -234,154 +252,55 @@ func (t *Trace) WriteToV01(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// writeHeader emits the common magic/name/count prefix.
-func writeHeader(bw *bufio.Writer, magic [8]byte, name string, count uint64) (int64, error) {
-	if len(name) > maxNameLen {
-		return 0, fmt.Errorf("trace: name too long (%d bytes)", len(name))
-	}
-	var head [10]byte
-	copy(head[0:8], magic[:])
-	binary.LittleEndian.PutUint16(head[8:10], uint16(len(name)))
-	if _, err := bw.Write(head[:]); err != nil {
-		return 0, err
-	}
-	if _, err := bw.WriteString(name); err != nil {
-		return int64(10), err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], count)
-	if _, err := bw.Write(cnt[:]); err != nil {
-		return int64(10 + len(name)), err
-	}
-	return int64(10 + len(name) + 8), nil
-}
-
-// countingReader tracks bytes consumed from the underlying reader.
-type countingReader struct {
-	br   *bufio.Reader
-	read int64
-}
-
-func (c *countingReader) full(p []byte) error {
-	n, err := io.ReadFull(c.br, p)
-	c.read += int64(n)
-	return err
-}
-
 // ReadFrom deserializes a trace written by WriteTo or WriteToV01 (dispatch
 // on the magic), replacing the receiver's contents.
 func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
-	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<20)}
-	var magic [8]byte
-	if err := cr.full(magic[:]); err != nil {
-		return cr.read, err
-	}
-	var v2 bool
-	switch magic {
-	case traceMagicV01:
-	case traceMagicV02:
-		v2 = true
-	default:
-		return cr.read, fmt.Errorf("trace: bad magic %q", magic[:])
-	}
-	var head [10]byte
-	if err := cr.full(head[:2]); err != nil {
-		return cr.read, err
-	}
-	nameLen := binary.LittleEndian.Uint16(head[:2])
-	name := make([]byte, nameLen)
-	if err := cr.full(name); err != nil {
-		return cr.read, err
-	}
-	if err := cr.full(head[:8]); err != nil {
-		return cr.read, err
-	}
-	count := binary.LittleEndian.Uint64(head[:8])
-	if count > maxAccesses {
-		return cr.read, fmt.Errorf("trace: implausible access count %d", count)
+	br := bufio.NewReaderSize(r, 1<<20)
+	c := binfmt.NewDecoder(br)
+	var h header
+	h.walk(c)
+	if err := c.Err(); err != nil {
+		return c.N(), fmt.Errorf("trace: %w", err)
 	}
 
 	var cols Columns
 	// Grow incrementally rather than trusting the header's count: a forged
 	// count must not trigger a giant up-front allocation.
-	cols.Grow(int(min(count, 1<<16)))
+	cols.Grow(int(min(h.count, 1<<16)))
 	var err error
 	var phases []Phase
-	if v2 {
-		err = readV02(cr, &cols, count)
-		if err == nil {
-			phases, err = readPhaseSection(cr, cols.Len())
+	if h.magic == traceMagicV02 {
+		err = readV02(c, &cols, h.count)
+		// A clean EOF right after the last access block means a phase-less
+		// trace; any bytes present must be a complete, valid phase section.
+		if _, peekErr := br.Peek(1); err == nil && peekErr != io.EOF {
+			walkPhases(c, &phases)
+			if err = c.Err(); err == nil {
+				err = validatePhases(phases, cols.Len())
+			}
 		}
 	} else {
-		err = readV01(cr, &cols, count)
+		err = readV01(c, &cols, h.count)
 	}
 	if err != nil {
-		return cr.read, err
+		return c.N(), fmt.Errorf("trace: %w", err)
 	}
-	t.Name = string(name)
+	t.Name = h.name
 	t.cols = cols
 	t.phases = phases
-	return cr.read, nil
-}
-
-// readPhaseSection decodes the optional trailing MPH1 section of a v02
-// stream. A clean EOF right after the last access block means a phase-less
-// trace; any bytes present must be a complete, valid phase section.
-func readPhaseSection(cr *countingReader, n int) ([]Phase, error) {
-	var marker [4]byte
-	if err := cr.full(marker[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("trace: truncated phase marker: %w", err)
-	}
-	if marker != phaseMarker {
-		return nil, fmt.Errorf("trace: bad phase-section marker %q", marker[:])
-	}
-	var buf [16]byte
-	if err := cr.full(buf[:2]); err != nil {
-		return nil, fmt.Errorf("trace: truncated phase count: %w", err)
-	}
-	pcount := binary.LittleEndian.Uint16(buf[:2])
-	if pcount == 0 || int(pcount) > maxPhases {
-		return nil, fmt.Errorf("trace: implausible phase count %d", pcount)
-	}
-	phases := make([]Phase, 0, pcount)
-	for i := 0; i < int(pcount); i++ {
-		if err := cr.full(buf[:2]); err != nil {
-			return nil, fmt.Errorf("trace: truncated phase %d: %w", i, err)
-		}
-		nameLen := binary.LittleEndian.Uint16(buf[:2])
-		name := make([]byte, nameLen)
-		if err := cr.full(name); err != nil {
-			return nil, fmt.Errorf("trace: truncated phase %d name: %w", i, err)
-		}
-		if err := cr.full(buf[:16]); err != nil {
-			return nil, fmt.Errorf("trace: truncated phase %d bounds: %w", i, err)
-		}
-		lo := binary.LittleEndian.Uint64(buf[0:8])
-		hi := binary.LittleEndian.Uint64(buf[8:16])
-		if lo > maxAccesses || hi > maxAccesses {
-			return nil, fmt.Errorf("trace: implausible phase %d bounds [%d, %d)", i, lo, hi)
-		}
-		phases = append(phases, Phase{Name: string(name), Lo: int(lo), Hi: int(hi)})
-	}
-	if err := validatePhases(phases, n); err != nil {
-		return nil, err
-	}
-	return phases, nil
+	return c.N(), nil
 }
 
 // readV01 decodes the fixed-width record stream with one buffered manual
 // decoder instead of three reflective binary.Read calls per record.
-func readV01(cr *countingReader, cols *Columns, count uint64) error {
+func readV01(c *binfmt.Codec, cols *Columns, count uint64) error {
 	const chunk = 4096
 	buf := make([]byte, chunk*v01RecordBytes)
 	for done := uint64(0); done < count; {
 		n := min(uint64(chunk), count-done)
 		b := buf[:n*v01RecordBytes]
-		if err := cr.full(b); err != nil {
-			return fmt.Errorf("trace: truncated at access %d: %w", done, err)
+		if c.Raw(b); c.Err() != nil {
+			return fmt.Errorf("truncated at access %d: %w", done, c.Err())
 		}
 		for i := uint64(0); i < n; i++ {
 			rec := b[i*v01RecordBytes:]
@@ -417,32 +336,32 @@ var v02ScratchPool = sync.Pool{
 }
 
 // readV02 decodes the block-columnar stream.
-func readV02(cr *countingReader, cols *Columns, count uint64) error {
+func readV02(c *binfmt.Codec, cols *Columns, count uint64) error {
 	var head [8]byte
 	payload := make([]byte, 0, v02MaxPayload(v02BlockCap))
 	scratch := v02ScratchPool.Get().(*v02Scratch)
 	defer v02ScratchPool.Put(scratch)
 	for done := uint64(0); done < count; {
-		if err := cr.full(head[:]); err != nil {
-			return fmt.Errorf("trace: truncated block header at access %d: %w", done, err)
+		if c.Raw(head[:]); c.Err() != nil {
+			return fmt.Errorf("truncated block header at access %d: %w", done, c.Err())
 		}
 		n := binary.LittleEndian.Uint32(head[0:4])
 		payloadLen := binary.LittleEndian.Uint32(head[4:8])
 		if n == 0 || n > v02BlockCap || uint64(n) > count-done {
-			return fmt.Errorf("trace: forged block size %d (%d of %d accesses consumed)", n, done, count)
+			return fmt.Errorf("forged block size %d (%d of %d accesses consumed)", n, done, count)
 		}
 		if int(payloadLen) > v02MaxPayload(int(n)) {
-			return fmt.Errorf("trace: forged block payload length %d for %d accesses", payloadLen, n)
+			return fmt.Errorf("forged block payload length %d for %d accesses", payloadLen, n)
 		}
 		if cap(payload) < int(payloadLen) {
 			payload = make([]byte, payloadLen)
 		}
 		payload = payload[:payloadLen]
-		if err := cr.full(payload); err != nil {
-			return fmt.Errorf("trace: truncated block at access %d: %w", done, err)
+		if c.Raw(payload); c.Err() != nil {
+			return fmt.Errorf("truncated block at access %d: %w", done, c.Err())
 		}
 		if err := decodeBlock(payload, cols, int(n), scratch); err != nil {
-			return fmt.Errorf("trace: block at access %d: %w", done, err)
+			return fmt.Errorf("block at access %d: %w", done, err)
 		}
 		done += uint64(n)
 	}
@@ -500,48 +419,14 @@ func decodeBlock(payload []byte, cols *Columns, n int, scratch *v02Scratch) erro
 	return nil
 }
 
-// Save writes the trace to a file (in the current default format). The
-// write is atomic — a temp file in the target directory, synced, then
-// renamed over path — so an interrupted run never leaves a truncated
-// MOSTRC02 file behind to poison a trace cache: readers see either the old
-// complete file or the new complete file, never a prefix.
+// Save writes the trace to a file (in the current default format) through
+// binfmt.WriteFileAtomic, so an interrupted run never leaves a truncated
+// MOSTRC02 file behind to poison a trace cache.
 func (t *Trace) Save(path string) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
+	return binfmt.WriteFileAtomic(path, 0o644, func(w io.Writer) error {
+		_, err := t.WriteTo(w)
 		return err
-	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	if _, err := t.WriteTo(f); err != nil {
-		cleanup()
-		return err
-	}
-	// Sync before rename: a crash after the rename must not resurrect an
-	// empty file from an unflushed page cache.
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // Load reads a trace from a file written by Save (either format).

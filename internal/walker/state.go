@@ -51,6 +51,26 @@ func (p *pwc) restore(name string, s PWCState) error {
 	if n > 0 && (int(s.Head) >= n || int(s.Tail) >= n) {
 		return fmt.Errorf("walker: %s: PWC list head/tail %d/%d out of range for %d live entries", name, s.Head, s.Tail, n)
 	}
+	// The recency list must chain all n live entries from Head to Tail, or
+	// a later touch indexes past them. Prev[Head] and Next[Tail] are
+	// rewritten before they are read and may hold stale indices from
+	// before a reset, so they are not checked.
+	if n > 0 {
+		seen := make([]bool, n)
+		i := int(s.Head)
+		seen[i] = true
+		for k := 1; k < n; k++ {
+			j := int(s.Next[i])
+			if j >= n || seen[j] || int(s.Prev[j]) != i {
+				return fmt.Errorf("walker: %s: PWC recency list broken after entry %d", name, i)
+			}
+			seen[j] = true
+			i = j
+		}
+		if i != int(s.Tail) {
+			return fmt.Errorf("walker: %s: PWC recency list ends at entry %d, not at tail %d", name, i, s.Tail)
+		}
+	}
 	copy(p.keys, s.Keys)
 	copy(p.prev, s.Prev)
 	copy(p.next, s.Next)
