@@ -8,15 +8,15 @@
 //	detclock    no time.Now/time.Since/global math/rand in simulation packages
 //	maporder    no result-feeding iteration over unsorted maps
 //	floateq     no ==/!= on float operands
-//	lockio      no blocking I/O or channel ops while a serve mutex is held
 //	hotpath     no defer/fmt/map-alloc/interface-boxing in //mosvet:hotpath kernels
 //	ckptfields  Snapshot writes every state field and Restore reads it back
-//	lockorder   no mutex acquisition cycles or transitively-blocking calls under locks
+//	lockorder   no mutex acquisition cycles, and no blocking operation or
+//	            transitively-blocking call while a serve mutex is held
 //	phasebound  no raw trace.Phase construction outside the trace package
 //
 // Usage:
 //
-//	mosvet [-checks detclock,lockio] [-dir .] [-json out.json] [-sarif out.sarif]
+//	mosvet [-checks detclock,lockorder] [-dir .]
 //	       [-baseline mosvet-baseline.json | -write-baseline mosvet-baseline.json]
 //	       [packages]
 //
@@ -34,7 +34,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -57,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dir           = fs.String("dir", ".", "directory inside the module to analyze")
 		list          = fs.Bool("list", false, "list registered checks and exit")
 		verbose       = fs.Bool("v", false, "print load/analysis timing to stderr")
-		jsonOut       = fs.String("json", "", "write findings and the exemption inventory as JSON to this file (\"-\" for stdout)")
-		sarifOut      = fs.String("sarif", "", "write findings as a SARIF 2.1.0 document to this file (\"-\" for stdout)")
 		baseline      = fs.String("baseline", "", "verify the exemption inventory against this committed suppression-audit baseline file; any drift fails the run")
 		writeBaseline = fs.String("write-baseline", "", "regenerate the suppression-audit baseline into this file and exit")
 	)
@@ -104,25 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	report := lint.BuildReport(res)
-	if *jsonOut != "" {
-		if err := writeOutput(stdout, *jsonOut, marshalReport(report)); err != nil {
-			fmt.Fprintf(stderr, "mosvet: %v\n", err)
-			return 2
-		}
-	}
-	if *sarifOut != "" {
-		data, err := report.SARIF()
-		if err != nil {
-			fmt.Fprintf(stderr, "mosvet: %v\n", err)
-			return 2
-		}
-		if err := writeOutput(stdout, *sarifOut, append(data, '\n')); err != nil {
-			fmt.Fprintf(stderr, "mosvet: %v\n", err)
-			return 2
-		}
-	}
-
 	for _, f := range res.Findings {
 		fmt.Fprintln(stdout, f)
 	}
@@ -149,23 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func marshalReport(r *lint.Report) []byte {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		// The report is plain structs; marshal cannot fail in practice.
-		return []byte(fmt.Sprintf("{\"error\":%q}\n", err.Error()))
-	}
-	return append(data, '\n')
-}
-
-func writeOutput(stdout io.Writer, path string, data []byte) error {
-	if path == "-" {
-		_, err := stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 func knownCheck(name string) bool {

@@ -18,9 +18,9 @@ import (
 // carry counters and must survive version skew explicitly.
 //
 // Every request body is read fully before any coordinator lock is taken
-// (the handlers call Coordinator methods, which lock internally), so the
-// lockio invariant — no network I/O while holding a mutex — holds across
-// the package.
+// (the handlers call Coordinator methods, which lock internally), so
+// lockorder's invariant — no network I/O while holding a mutex — holds
+// across the package.
 
 // maxBodyBytes bounds request bodies: a ShardResult for the largest legal
 // span (maxSpanLayouts layouts × ~150 bytes each) stays well inside it.

@@ -491,14 +491,12 @@ func (r *Runner) Collect(w workloads.Workload, plat arch.Platform) (*Dataset, er
 	return dss[0], nil
 }
 
-// pairPlan tracks one (workload, platform) dataset through the sweep.
+// pairPlan tracks one (workload, platform) dataset through the sweep: its
+// replay span is filled in by the plan stage and replayed by the replay
+// stage.
 type pairPlan struct {
-	w    workloads.Workload
-	plat arch.Platform // unscaled; Scaled() at use sites
-	key  string
-	wd   *WorkloadData
-	lays []layout.Layout
-	res  []sim.Result
+	w workloads.Workload
+	replaySpan
 }
 
 // CollectAll measures every (workload, platform) dataset through one
@@ -542,7 +540,7 @@ func (r *Runner) CollectAllCtx(ctx context.Context, ws []workloads.Workload, pla
 			_, have := r.datasets[key]
 			r.mu.Unlock()
 			if !have {
-				pending = append(pending, &pairPlan{w: w, plat: p, key: key})
+				pending = append(pending, &pairPlan{w: w, replaySpan: replaySpan{key: key, plat: p}})
 			}
 		}
 	}
@@ -577,7 +575,7 @@ func (r *Runner) CollectAllCtx(ctx context.Context, ws []workloads.Workload, pla
 			pair.wd = wd
 			return r.timing.Time(sim.StagePlan, func() error {
 				pair.lays = r.planLayouts(pair.wd, pair.plat, pair.key)
-				pair.res = make([]sim.Result, len(pair.lays))
+				pair.out = make([]sim.Result, len(pair.lays))
 				return nil
 			})
 		})
@@ -585,76 +583,13 @@ func (r *Runner) CollectAllCtx(ctx context.Context, ws []workloads.Workload, pla
 		return nil, err
 	}
 
-	// Stage 3: replay — every (workload, platform) pair's layouts, chunked
-	// into fused batches sized to keep the worker pool saturated, in one
-	// flat worker pool with shared spaces and pooled engines. A job replays
-	// its span of same-pair layouts in a single pass over the trace
-	// (Runner.replayBatch).
-	spaces := sim.NewSpaceCache(physMem)
-	spaces.Timing = &r.timing
-	type job struct {
-		pair      *pairPlan
-		lo, hi    int      // layout index span [lo, hi)
-		spaceKeys []string // one per layout in the span
+	// Stage 3: replay — every (workload, platform) pair's layouts in one
+	// flat worker pool (Runner.replayStage).
+	spans := make([]replaySpan, len(pending))
+	for i, pair := range pending {
+		spans[i] = pair.replaySpan
 	}
-	totalLayouts := 0
-	for _, pair := range pending {
-		totalLayouts += len(pair.lays)
-	}
-	// Window workers share the sweep's worker budget: with K-way windowed
-	// replay each replay job fans out into up to K concurrent segment
-	// workers (sim.Windowed.Workers), so the stage claims proportionally
-	// fewer jobs at once instead of oversubscribing the machine.
-	replayWorkers := workers
-	if r.Windows > 1 {
-		replayWorkers = max(1, workers/r.Windows)
-	}
-	span := sim.BatchSpan(totalLayouts, replayWorkers)
-	var jobs []job
-	for _, pair := range pending {
-		for lo := 0; lo < len(pair.lays); lo += span {
-			hi := min(lo+span, len(pair.lays))
-			keys := make([]string, 0, hi-lo)
-			for _, lay := range pair.lays[lo:hi] {
-				keys = append(keys, spaces.Register(lay.Cfg))
-			}
-			jobs = append(jobs, job{pair: pair, lo: lo, hi: hi, spaceKeys: keys})
-		}
-	}
-	sched = sim.Scheduler{Workers: replayWorkers, Stage: sim.StageReplay.String(), OnProgress: onProgress, Ctx: ctx}
-	err = sched.Run(len(jobs),
-		func(i int) string {
-			j := jobs[i]
-			lays := j.pair.lays[j.lo:j.hi]
-			if len(lays) == 1 {
-				return j.pair.key + "/" + lays[0].Name
-			}
-			return j.pair.key + "/" + lays[0].Name + ".." + lays[len(lays)-1].Name
-		},
-		func(i int) error {
-			j := jobs[i]
-			defer func() {
-				for _, k := range j.spaceKeys {
-					spaces.Release(k)
-				}
-			}()
-			lays := j.pair.lays[j.lo:j.hi]
-			batch := make([]*mem.AddressSpace, len(lays))
-			for k, lay := range lays {
-				space, err := spaces.Get(j.spaceKeys[k], lay.Cfg)
-				if err != nil {
-					return fmt.Errorf("experiment: layout %s: %w", lay.Name, err)
-				}
-				batch[k] = space
-			}
-			results, err := r.replayBatch(j.pair.wd, j.pair.plat.Scaled(), lays, batch, r.Sampling)
-			if err != nil {
-				return err
-			}
-			copy(j.pair.res[j.lo:j.hi], results)
-			return nil
-		})
-	if err != nil {
+	if err := r.replayStage(ctx, spans, r.Sampling, onProgress); err != nil {
 		return nil, err
 	}
 
@@ -721,7 +656,7 @@ func (r *Runner) ProtocolLayouts(wd *WorkloadData, plat arch.Platform) []layout.
 
 // assemble folds a pair's counters into a Dataset.
 func assemble(pair *pairPlan) (*Dataset, error) {
-	return Assemble(pair.w.Name(), pair.plat.Name, pair.lays, pair.res)
+	return Assemble(pair.w.Name(), pair.plat.Name, pair.lays, pair.out)
 }
 
 // Assemble folds per-layout replay results into a Dataset — CollectAll's
@@ -782,38 +717,71 @@ func (r *Runner) MeasureLayouts(ctx context.Context, wd *WorkloadData, plat arch
 	if len(lays) == 0 {
 		return nil, nil
 	}
-	workers := max(1, r.Parallelism)
-	replayWorkers := workers
-	if r.Windows > 1 {
-		replayWorkers = max(1, workers/r.Windows)
+	out := make([]sim.Result, len(lays))
+	span := replaySpan{key: wd.Workload.Name() + "@" + plat.Name, wd: wd, plat: plat, lays: lays, out: out}
+	if err := r.replayStage(ctx, []replaySpan{span}, s, onProgress); err != nil {
+		return nil, err
 	}
-	scaled := plat.Scaled()
+	return out, nil
+}
+
+// replaySpan is one pair's layouts to replay and the slice, index-aligned
+// with lays, that receives their results.
+type replaySpan struct {
+	key  string // "workload@platform", the progress label prefix
+	wd   *WorkloadData
+	plat arch.Platform // unscaled; Scaled() at use sites
+	lays []layout.Layout
+	out  []sim.Result
+}
+
+// replayStage replays every span's layouts at sampling fidelity s, chunked
+// into fused batches sized to keep the worker pool saturated, in one flat
+// worker pool with shared address spaces and pooled engines. A job replays
+// its chunk of same-pair layouts in a single pass over the trace
+// (Runner.replayBatch).
+func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Sampling, onProgress func(sim.Progress)) error {
 	spaces := sim.NewSpaceCache(physMem)
 	spaces.Timing = &r.timing
 	type job struct {
+		span      *replaySpan
 		lo, hi    int      // layout index span [lo, hi)
 		spaceKeys []string // one per layout in the span
 	}
-	span := sim.BatchSpan(len(lays), replayWorkers)
-	var jobs []job
-	for lo := 0; lo < len(lays); lo += span {
-		hi := min(lo+span, len(lays))
-		keys := make([]string, 0, hi-lo)
-		for _, lay := range lays[lo:hi] {
-			keys = append(keys, spaces.Register(lay.Cfg))
-		}
-		jobs = append(jobs, job{lo: lo, hi: hi, spaceKeys: keys})
+	totalLayouts := 0
+	for _, sp := range spans {
+		totalLayouts += len(sp.lays)
 	}
-	out := make([]sim.Result, len(lays))
+	// Window workers share the sweep's worker budget: with K-way windowed
+	// replay each replay job fans out into up to K concurrent segment
+	// workers (sim.Windowed.Workers), so the stage claims proportionally
+	// fewer jobs at once instead of oversubscribing the machine.
+	replayWorkers := max(1, r.Parallelism)
+	if r.Windows > 1 {
+		replayWorkers = max(1, replayWorkers/r.Windows)
+	}
+	size := sim.BatchSpan(totalLayouts, replayWorkers)
+	var jobs []job
+	for i := range spans {
+		sp := &spans[i]
+		for lo := 0; lo < len(sp.lays); lo += size {
+			hi := min(lo+size, len(sp.lays))
+			keys := make([]string, 0, hi-lo)
+			for _, lay := range sp.lays[lo:hi] {
+				keys = append(keys, spaces.Register(lay.Cfg))
+			}
+			jobs = append(jobs, job{span: sp, lo: lo, hi: hi, spaceKeys: keys})
+		}
+	}
 	sched := sim.Scheduler{Workers: replayWorkers, Stage: sim.StageReplay.String(), OnProgress: onProgress, Ctx: ctx}
-	err := sched.Run(len(jobs),
+	return sched.Run(len(jobs),
 		func(i int) string {
 			j := jobs[i]
-			span := lays[j.lo:j.hi]
-			if len(span) == 1 {
-				return wd.Workload.Name() + "@" + plat.Name + "/" + span[0].Name
+			lays := j.span.lays[j.lo:j.hi]
+			if len(lays) == 1 {
+				return j.span.key + "/" + lays[0].Name
 			}
-			return wd.Workload.Name() + "@" + plat.Name + "/" + span[0].Name + ".." + span[len(span)-1].Name
+			return j.span.key + "/" + lays[0].Name + ".." + lays[len(lays)-1].Name
 		},
 		func(i int) error {
 			j := jobs[i]
@@ -822,26 +790,22 @@ func (r *Runner) MeasureLayouts(ctx context.Context, wd *WorkloadData, plat arch
 					spaces.Release(k)
 				}
 			}()
-			span := lays[j.lo:j.hi]
-			batch := make([]*mem.AddressSpace, len(span))
-			for k, lay := range span {
+			lays := j.span.lays[j.lo:j.hi]
+			batch := make([]*mem.AddressSpace, len(lays))
+			for k, lay := range lays {
 				space, err := spaces.Get(j.spaceKeys[k], lay.Cfg)
 				if err != nil {
 					return fmt.Errorf("experiment: layout %s: %w", lay.Name, err)
 				}
 				batch[k] = space
 			}
-			results, err := r.replayBatch(wd, scaled, span, batch, s)
+			results, err := r.replayBatch(j.span.wd, j.span.plat.Scaled(), lays, batch, s)
 			if err != nil {
 				return err
 			}
-			copy(out[j.lo:j.hi], results)
+			copy(j.span.out[j.lo:j.hi], results)
 			return nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // PairMeasurer binds one (workload, platform) pair of a Runner into a

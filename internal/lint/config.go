@@ -12,15 +12,10 @@ type Config struct {
 	// are exempt scopes (scheduler ETA, serve metrics).
 	DetClockPackages []string
 
-	// LockIOPackages are import-path prefixes whose code must not hold a
-	// sync.Mutex/RWMutex across blocking operations (file/network I/O,
-	// channel ops, HTTP calls, sleeps).
-	LockIOPackages []string
-
 	// LockOrderPackages are import-path prefixes over which lockorder
 	// builds the module-wide mutex acquisition graph and rejects cycles,
-	// inconsistent pairwise orderings, and transitively-blocking calls
-	// made while a lock is held.
+	// inconsistent pairwise orderings, and blocking operations or
+	// transitively-blocking calls made while a lock is held.
 	LockOrderPackages []string
 
 	// PhaseOwnerPackages are the packages allowed to construct
@@ -29,11 +24,6 @@ type Config struct {
 	// phases must come from Phases-validated constructors. Matched by
 	// import-path suffix so synthetic test packages scope correctly.
 	PhaseOwnerPackages []string
-
-	// Binaries are the cmd packages wired into the driver's policy: they
-	// are analyzed like every other package, and their flag help strings
-	// are subject to the units audit (docs/static-analysis.md).
-	Binaries []string
 
 	// Checks restricts which analyzers run; empty means all.
 	Checks []string
@@ -72,19 +62,13 @@ func DefaultConfig() *Config {
 			// results.
 			"internal/cluster",
 		},
-		// The serving tier: a lock held across blocking I/O turns one slow
-		// disk or peer into a stalled /v1/predict for every client.
-		LockIOPackages: []string{
-			"internal/serve",
-			"internal/serve/registry",
-			// The coordinator serves worker HTTP traffic and the merge path
-			// from one mutex; holding it across network reads would stall
-			// the whole fleet.
-			"internal/cluster",
-		},
 		// The lock-graph scope: the coordinator's four mutexes plus the
 		// serving tier's registry/job locks are the only places where two
-		// locks can be held at once in production paths.
+		// locks can be held at once in production paths. A lock held across
+		// blocking I/O turns one slow disk or peer into a stalled
+		// /v1/predict for every client; the coordinator serves worker HTTP
+		// traffic and the merge path from one mutex, so holding it across
+		// network reads would stall the whole fleet.
 		LockOrderPackages: []string{
 			"internal/cluster",
 			"internal/serve",
@@ -97,10 +81,6 @@ func DefaultConfig() *Config {
 		// goes through Phases-validated constructors.
 		PhaseOwnerPackages: []string{
 			"internal/trace",
-		},
-		Binaries: []string{
-			"cmd/mosbench",
-			"cmd/mosd",
 		},
 	}
 }

@@ -69,7 +69,6 @@ func Analyzers() []*Analyzer {
 		DetClock,
 		MapOrder,
 		FloatEq,
-		LockIO,
 		HotPath,
 		CkptFields,
 		LockOrder,

@@ -275,147 +275,6 @@ func z(a float64) bool { return a == 0 }
 	}
 }
 
-func TestLockIO(t *testing.T) {
-	cases := []struct {
-		name string
-		path string
-		src  string
-		want []string
-	}{
-		{
-			name: "file read between Lock and Unlock",
-			path: "internal/serve",
-			src: `package p
-import (
-	"os"
-	"sync"
-)
-type s struct{ mu sync.Mutex }
-func (x *s) bad(path string) {
-	x.mu.Lock()
-	os.ReadFile(path)
-	x.mu.Unlock()
-}
-func (x *s) good(path string) {
-	x.mu.Lock()
-	x.mu.Unlock()
-	os.ReadFile(path)
-}
-`,
-			want: []string{"9:lockio"},
-		},
-		{
-			name: "deferred unlock holds to end of function",
-			path: "internal/serve/registry",
-			src: `package p
-import (
-	"os"
-	"sync"
-)
-type s struct{ mu sync.RWMutex }
-func (x *s) bad(path string, ch chan int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	ch <- 1
-	os.Stat(path)
-}
-`,
-			want: []string{"10:lockio", "11:lockio"},
-		},
-		{
-			name: "channel receive and blocking select under RLock",
-			path: "internal/serve",
-			src: `package p
-import "sync"
-func bad(mu *sync.RWMutex, ch chan int) int {
-	mu.RLock()
-	v := <-ch
-	select {
-	case w := <-ch:
-		v += w
-	}
-	mu.RUnlock()
-	return v
-}
-`,
-			want: []string{"5:lockio", "6:lockio"},
-		},
-		{
-			name: "non-blocking signals under lock are clean",
-			path: "internal/serve",
-			src: `package p
-import "sync"
-func ok(mu *sync.Mutex, ch chan int) {
-	mu.Lock()
-	close(ch)
-	select {
-	case ch <- 1:
-	default:
-	}
-	mu.Unlock()
-}
-`,
-			want: nil,
-		},
-		{
-			name: "function literal is its own scope",
-			path: "internal/serve",
-			src: `package p
-import (
-	"os"
-	"sync"
-)
-func ok(mu *sync.Mutex, path string) func() {
-	mu.Lock()
-	f := func() { os.ReadFile(path) } // runs after Unlock
-	mu.Unlock()
-	return f
-}
-`,
-			want: nil,
-		},
-		{
-			name: "blocking I/O inside a held loop",
-			path: "internal/serve",
-			src: `package p
-import (
-	"os"
-	"sync"
-)
-func bad(mu *sync.Mutex, paths []string) {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, p := range paths {
-		os.Stat(p)
-	}
-}
-`,
-			want: []string{"10:lockio"},
-		},
-		{
-			name: "outside serving packages nothing fires",
-			path: "internal/sim",
-			src: `package p
-import (
-	"os"
-	"sync"
-)
-func ok(mu *sync.Mutex, path string) {
-	mu.Lock()
-	os.ReadFile(path)
-	mu.Unlock()
-}
-`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			wantFindings(t, analyze(t, tc.path, tc.src, DefaultConfig()), tc.want...)
-		})
-	}
-}
-
 func TestHotPath(t *testing.T) {
 	cases := []struct {
 		name string
@@ -542,9 +401,9 @@ import (
 )
 func f(mu *sync.Mutex, path string, a, b float64) bool {
 	mu.Lock()
-	//mosvet:ignore lockio,floateq demo of a multi-check suppression
+	//mosvet:ignore lockorder,floateq demo of a multi-check suppression
 	os.Setenv("k", "v")
-	_, _ = os.ReadFile(path) //mosvet:ignore lockio cold startup path, no traffic yet
+	_, _ = os.ReadFile(path) //mosvet:ignore lockorder cold startup path, no traffic yet
 	mu.Unlock()
 	return a == b //mosvet:ignore floateq exact sentinel
 }
@@ -583,7 +442,7 @@ func TestMultiFilePackage(t *testing.T) {
 }
 
 func TestAnalyzerNamesStable(t *testing.T) {
-	want := []string{"detclock", "maporder", "floateq", "lockio", "hotpath", "ckptfields", "lockorder", "phasebound"}
+	want := []string{"detclock", "maporder", "floateq", "hotpath", "ckptfields", "lockorder", "phasebound"}
 	got := AnalyzerNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("analyzer set changed: got %v want %v (update docs/static-analysis.md)", got, want)

@@ -223,7 +223,7 @@ type ModuleResult struct {
 }
 
 // AnalyzeModuleFull is AnalyzeModule plus the exemption inventory and
-// module root — the entry point for mosvet's JSON/SARIF/baseline output.
+// module root — the entry point for mosvet's baseline gate.
 func AnalyzeModuleFull(dir string, cfg *Config) (*ModuleResult, error) {
 	l, err := NewLoader(dir)
 	if err != nil {

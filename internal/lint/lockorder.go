@@ -10,12 +10,16 @@ import (
 )
 
 // LockOrder builds the module-wide mutex acquisition graph over the
-// coordinator and serving packages and rejects the two interprocedural
-// hazards lockio's per-function scan cannot see: acquisition cycles
-// (goroutine A takes mu1→mu2 while B takes mu2→mu1 — a deadlock that only
-// fires under contention) and calls made under a lock into functions that
-// transitively block (the registry head-of-line pattern: the critical
-// section looks clean, the helper it calls does the file I/O).
+// coordinator and serving packages and rejects three hazards: acquisition
+// cycles (goroutine A takes mu1→mu2 while B takes mu2→mu1 — a deadlock that
+// only fires under contention), blocking operations — file and network
+// I/O, channel sends and receives, selects without a default, HTTP calls,
+// sleeps — written directly under a held lock, and calls made under a lock
+// into functions that transitively block (the registry head-of-line
+// pattern: the critical section looks clean, the helper it calls does the
+// file I/O). The serving tier coalesces concurrent predict waves through
+// one registry read-lock, so either kind of blocking turns one slow
+// operation into head-of-line blocking for every client.
 //
 // Lock identity is structural: a mutex is named by the struct field or
 // package-level variable it lives in (cluster.Coordinator.mu,
@@ -26,7 +30,7 @@ import (
 // construction, which is exactly the discipline they exist to encode.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "reject mutex acquisition cycles and transitively-blocking calls under locks across the coordinator and serving packages",
+	Doc:       "reject mutex acquisition cycles and blocking operations or transitively-blocking calls under locks across the coordinator and serving packages",
 	RunModule: runLockOrder,
 }
 
@@ -122,44 +126,28 @@ func (lo *lockOrder) summary(fn *types.Func) *fnSummary {
 	}
 	var callees []*types.Func
 	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
+		if _, ok := n.(*ast.FuncLit); ok {
 			// Literal bodies run whenever the value is invoked — often
 			// deliberately after an unlock. Charging them to the enclosing
 			// function would poison every callback-based release pattern.
 			return false
-		case *ast.CallExpr:
-			if mutexCallKind(fd.p.Info, n) == lockAcquire {
-				if k := lockKeyOf(fd.p, n); k != "" {
-					s.acq[k] = true
-				}
-				return true
+		}
+		if s.block == "" {
+			s.block = blockingOp(fd.p.Info, n)
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if mutexCallKind(fd.p.Info, call) == lockAcquire {
+			if k := lockKeyOf(fd.p, call); k != "" {
+				s.acq[k] = true
 			}
-			if desc := blockingCall(fd.p.Info, n); desc != "" && s.block == "" {
-				s.block = desc
-			}
-			if callee := calleeFunc(fd.p.Info, n); callee != nil {
-				if _, scoped := lo.fns[callee]; scoped && callee != fn {
-					callees = append(callees, callee)
-				}
-			}
-		case *ast.SendStmt:
-			if s.block == "" {
-				s.block = "a channel send"
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && s.block == "" {
-				s.block = "a channel receive"
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) && s.block == "" {
-				s.block = "a blocking select"
-			}
-		case *ast.RangeStmt:
-			if t := fd.p.Info.TypeOf(n.X); t != nil && s.block == "" {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					s.block = "a range over a channel"
-				}
+			return true
+		}
+		if callee := calleeFunc(fd.p.Info, call); callee != nil {
+			if _, scoped := lo.fns[callee]; scoped && callee != fn {
+				callees = append(callees, callee)
 			}
 		}
 		return true
@@ -244,15 +232,17 @@ func (lo *lockOrder) findCycles() {
 }
 
 // orderScan walks one function linearly, tracking the ordered list of held
-// locks, mirroring lockio's scan. Branch bodies inherit a copy of the held
-// list; acquisitions inside a branch do not persist past it, and an unlock
-// inside a branch does not clear the state after it (conservative).
+// locks. Branch bodies inherit a copy of the held list; acquisitions inside
+// a branch do not persist past it, and an unlock inside a branch does not
+// clear the state after it (conservative — suppress with a reason if a
+// legitimate pattern trips this).
 type orderScan struct {
-	lo   *lockOrder
-	p    *Package
-	held []string // lock keys in acquisition order; "" = unidentified local
+	lo *lockOrder
+	p  *Package
 }
 
+// stmts scans a statement list under held — lock keys in acquisition order,
+// "" for an unidentified local — and returns the held list after it.
 func (s *orderScan) stmts(list []ast.Stmt, held []string) []string {
 	for _, stmt := range list {
 		switch st := stmt.(type) {
@@ -274,30 +264,37 @@ func (s *orderScan) stmts(list []ast.Stmt, held []string) []string {
 		case *ast.BlockStmt:
 			held = s.stmts(st.List, held)
 			continue
+		case *ast.LabeledStmt:
+			held = s.stmts([]ast.Stmt{st.Stmt}, held)
+			continue
 		case *ast.IfStmt:
-			s.calls(st.Cond, held)
+			s.check(held, st.Init, st.Cond)
 			s.stmts(st.Body.List, cloneHeld(held))
 			if st.Else != nil {
 				s.stmts([]ast.Stmt{st.Else}, cloneHeld(held))
 			}
 			continue
 		case *ast.ForStmt:
-			if st.Cond != nil {
-				s.calls(st.Cond, held)
-			}
+			s.check(held, st.Init, st.Cond, st.Post)
 			s.stmts(st.Body.List, cloneHeld(held))
 			continue
 		case *ast.RangeStmt:
-			s.calls(st.X, held)
+			s.op(held, st)
+			s.check(held, st.X)
 			s.stmts(st.Body.List, cloneHeld(held))
 			continue
 		case *ast.SwitchStmt:
+			s.check(held, st.Init, st.Tag)
 			s.caseBodies(st.Body, held)
 			continue
 		case *ast.TypeSwitchStmt:
+			s.check(held, st.Init, st.Assign)
 			s.caseBodies(st.Body, held)
 			continue
 		case *ast.SelectStmt:
+			// The select itself is the blocking point; its comm operations
+			// only proceed when ready.
+			s.op(held, st)
 			for _, c := range st.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
 					s.stmts(cc.Body, cloneHeld(held))
@@ -305,7 +302,7 @@ func (s *orderScan) stmts(list []ast.Stmt, held []string) []string {
 			}
 			continue
 		}
-		s.calls(stmt, held)
+		s.check(held, stmt)
 	}
 	return held
 }
@@ -336,54 +333,77 @@ func (s *orderScan) acquire(call *ast.CallExpr, held []string) []string {
 	return append(cloneHeld(held), k)
 }
 
-// calls inspects a node (skipping function literals) for calls into scoped
-// module functions and charges their transitive summaries against the held
-// locks: transitive acquisitions become ordering edges, transitive
-// blocking becomes a finding at the call site.
-func (s *orderScan) calls(n ast.Node, held []string) {
+// op flags n when it is itself a blocking operation performed under a held
+// lock.
+func (s *orderScan) op(held []string, n ast.Node) {
 	if len(held) == 0 {
 		return
 	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+	if desc := blockingOp(s.p.Info, n); desc != "" {
+		s.lo.findings = append(s.lo.findings, s.p.finding("lockorder", n,
+			"%s while %s is held — move it outside the critical section or copy the state out first", desc, heldName(held)))
+	}
+}
+
+// check inspects nodes evaluated under the held locks (skipping function
+// literals, whose bodies run later): blocking operations written there are
+// flagged directly, and calls into scoped module functions are charged
+// their transitive summaries — transitive acquisitions become ordering
+// edges, transitive blocking becomes a finding at the call site.
+func (s *orderScan) check(held []string, nodes ...ast.Node) {
+	if len(held) == 0 {
+		return
+	}
+	for _, n := range nodes {
+		if n == nil {
+			continue
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeFunc(s.p.Info, call)
-		if callee == nil {
-			return true
-		}
-		if _, scoped := s.lo.fns[callee]; !scoped {
-			return true
-		}
-		sum := s.lo.summary(callee)
-		acq := make([]string, 0, len(sum.acq))
-		for k := range sum.acq {
-			acq = append(acq, k)
-		}
-		sort.Strings(acq)
-		for _, k := range acq {
-			for _, h := range held {
-				if h == "" {
-					continue
-				}
-				if h == k {
-					s.lo.findings = append(s.lo.findings, s.p.finding("lockorder", call,
-						"call to %s may acquire %s, which is already held — self-deadlock on a non-reentrant mutex", callee.Name(), k))
-					continue
-				}
-				s.lo.edge(h, k, s.p, call.Pos())
+		ast.Inspect(n, func(n ast.Node) bool {
+			if _, ok := n.(*ast.FuncLit); ok {
+				return false
 			}
+			s.op(held, n)
+			if call, ok := n.(*ast.CallExpr); ok {
+				s.call(call, held)
+			}
+			return true
+		})
+	}
+}
+
+// call charges a call into a scoped module function against the held
+// locks.
+func (s *orderScan) call(call *ast.CallExpr, held []string) {
+	callee := calleeFunc(s.p.Info, call)
+	if callee == nil {
+		return
+	}
+	if _, scoped := s.lo.fns[callee]; !scoped {
+		return
+	}
+	sum := s.lo.summary(callee)
+	acq := make([]string, 0, len(sum.acq))
+	for k := range sum.acq {
+		acq = append(acq, k)
+	}
+	sort.Strings(acq)
+	for _, k := range acq {
+		for _, h := range held {
+			if h == "" {
+				continue
+			}
+			if h == k {
+				s.lo.findings = append(s.lo.findings, s.p.finding("lockorder", call,
+					"call to %s may acquire %s, which is already held — self-deadlock on a non-reentrant mutex", callee.Name(), k))
+				continue
+			}
+			s.lo.edge(h, k, s.p, call.Pos())
 		}
-		if sum.block != "" {
-			s.lo.findings = append(s.lo.findings, s.p.finding("lockorder", call,
-				"call to %s while %s is held — it transitively performs %s; restructure so the lock is released first", callee.Name(), heldName(held), sum.block))
-		}
-		return true
-	})
+	}
+	if sum.block != "" {
+		s.lo.findings = append(s.lo.findings, s.p.finding("lockorder", call,
+			"call to %s while %s is held — it transitively performs %s; restructure so the lock is released first", callee.Name(), heldName(held), sum.block))
+	}
 }
 
 func heldName(held []string) string {
@@ -411,6 +431,126 @@ func release(held []string, k string) []string {
 		return cloneHeld(held[:len(held)-1])
 	}
 	return held
+}
+
+func selectHasDefault(sel *ast.SelectStmt) bool {
+	for _, c := range sel.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+type mutexCall int
+
+const (
+	notMutex mutexCall = iota
+	lockAcquire
+	lockRelease
+)
+
+// mutexCallKind classifies expressions like mu.Lock() / r.mu.RUnlock().
+func mutexCallKind(info *types.Info, e ast.Expr) mutexCall {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return notMutex
+	}
+	fn := calleeFunc(info, call)
+	if fn == nil || funcPkgPath(fn) != "sync" || isPkgLevelFunc(fn) {
+		return notMutex
+	}
+	switch fn.Name() {
+	case "Lock", "RLock", "TryLock", "TryRLock":
+		return lockAcquire
+	case "Unlock", "RUnlock":
+		return lockRelease
+	}
+	return notMutex
+}
+
+// osBlocking are the package-level os functions that hit the filesystem.
+var osBlocking = map[string]bool{
+	"Open": true, "OpenFile": true, "Create": true, "CreateTemp": true,
+	"ReadFile": true, "WriteFile": true, "Rename": true, "Remove": true,
+	"RemoveAll": true, "Mkdir": true, "MkdirAll": true, "MkdirTemp": true,
+	"ReadDir": true, "Stat": true, "Lstat": true, "Chmod": true,
+	"Chtimes": true, "Truncate": true, "Symlink": true, "Link": true,
+}
+
+// ioBlocking are the io helpers that drive reads/writes to completion.
+var ioBlocking = map[string]bool{
+	"Copy": true, "CopyN": true, "CopyBuffer": true, "ReadAll": true,
+	"ReadFull": true, "WriteString": true,
+}
+
+// blockingOp names the blocking operation n performs by itself — a channel
+// send or receive, a select without a default, a range over a channel, or a
+// blockingCall — or returns "".
+func blockingOp(info *types.Info, n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return "a channel send"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return "a channel receive"
+		}
+	case *ast.SelectStmt:
+		if !selectHasDefault(n) {
+			return "a blocking select"
+		}
+	case *ast.RangeStmt:
+		if t := info.TypeOf(n.X); t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				return "a range over a channel"
+			}
+		}
+	case *ast.CallExpr:
+		return blockingCall(info, n)
+	}
+	return ""
+}
+
+// blockingCall classifies a call as blocking and names it, or returns "".
+func blockingCall(info *types.Info, call *ast.CallExpr) string {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return ""
+	}
+	pkg, name := funcPkgPath(fn), fn.Name()
+	switch pkg {
+	case "os":
+		if isPkgLevelFunc(fn) {
+			if osBlocking[name] {
+				return "file I/O (os." + name + ")"
+			}
+			return ""
+		}
+		// Methods on *os.File and friends: reads, writes, syncs.
+		switch name {
+		case "Read", "ReadAt", "Write", "WriteAt", "WriteString", "Sync", "Close", "Readdir", "ReadDir", "Seek", "Truncate":
+			return "file I/O ((*os.File)." + name + ")"
+		}
+	case "io":
+		if isPkgLevelFunc(fn) && ioBlocking[name] {
+			return "I/O (io." + name + ")"
+		}
+	case "net/http":
+		return "HTTP call (http." + name + ")"
+	case "net":
+		return "network call (net." + name + ")"
+	case "os/exec":
+		return "subprocess (exec." + name + ")"
+	case "time":
+		if name == "Sleep" {
+			return "sleep (time.Sleep)"
+		}
+	case "bufio":
+		if !isPkgLevelFunc(fn) && name == "Flush" {
+			return "buffered flush (bufio." + name + ")"
+		}
+	}
+	return ""
 }
 
 // lockKeyOf names the mutex a Lock/Unlock call operates on: the struct

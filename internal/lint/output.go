@@ -1,11 +1,10 @@
-// Machine-readable mosvet output: the JSON report CI archives, the SARIF
-// rendering code-scanning UIs ingest, and the committed suppression-audit
-// baseline. The baseline pins the module's exemption inventory — every
-// //mosvet:ignore, ckptexempt, and timing directive — so a new
-// exemption fails CI until it is regenerated (and thereby reviewed) in the
-// same change. Entries are compared by file, directive, checks, and reason;
-// the recorded line is a navigation hint refreshed on regeneration, not
-// part of identity, so unrelated edits above a directive do not churn CI.
+// The committed suppression-audit baseline. It pins the module's exemption
+// inventory — every //mosvet:ignore, ckptexempt, and timing directive — so
+// a new exemption fails CI until it is regenerated (and thereby reviewed)
+// in the same change. Entries are compared by file, directive, checks, and
+// reason; the recorded line is a navigation hint refreshed on regeneration,
+// not part of identity, so unrelated edits above a directive do not churn
+// CI.
 package lint
 
 import (
@@ -16,40 +15,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// JSONFinding is one finding in the machine-readable report.
-type JSONFinding struct {
-	Check   string `json:"check"`
-	File    string `json:"file"` // module-relative
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Message string `json:"message"`
-}
-
-// Report is the mosvet -json payload: findings plus the exemption
-// inventory, with module-relative paths.
-type Report struct {
-	Findings     []JSONFinding `json:"findings"`
-	Suppressions []Suppression `json:"suppressions"`
-}
-
-// BuildReport relativizes a module analysis against its root.
-func BuildReport(res *ModuleResult) *Report {
-	r := &Report{
-		Findings:     []JSONFinding{},
-		Suppressions: relativeSuppressions(res),
-	}
-	for _, f := range res.Findings {
-		r.Findings = append(r.Findings, JSONFinding{
-			Check:   f.Check,
-			File:    relTo(res.Root, f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Message: f.Message,
-		})
-	}
-	return r
-}
 
 func relativeSuppressions(res *ModuleResult) []Suppression {
 	out := make([]Suppression, 0, len(res.Suppressions))
@@ -65,102 +30,6 @@ func relTo(root, file string) string {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(file)
-}
-
-// sarif mirrors the minimal SARIF 2.1.0 subset code-scanning consumers
-// require: one run, one rule per analyzer, one result per finding.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI       string `json:"uri"`
-	URIBaseID string `json:"uriBaseId"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// SARIF renders the report as a SARIF 2.1.0 document.
-func (r *Report) SARIF() ([]byte, error) {
-	run := sarifRun{
-		Tool:    sarifTool{Driver: sarifDriver{Name: "mosvet"}},
-		Results: []sarifResult{},
-	}
-	for _, a := range Analyzers() {
-		run.Tool.Driver.Rules = append(run.Tool.Driver.Rules, sarifRule{
-			ID:               a.Name,
-			ShortDescription: sarifText{Text: a.Doc},
-		})
-	}
-	// The unsuppressible directive-hygiene pseudo-check also emits results.
-	run.Tool.Driver.Rules = append(run.Tool.Driver.Rules, sarifRule{
-		ID:               "mosvet",
-		ShortDescription: sarifText{Text: "malformed or unknown mosvet directive"},
-	})
-	for _, f := range r.Findings {
-		line := f.Line
-		if line < 1 {
-			line = 1
-		}
-		run.Results = append(run.Results, sarifResult{
-			RuleID:  f.Check,
-			Level:   "error",
-			Message: sarifText{Text: f.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: f.File, URIBaseID: "%SRCROOT%"},
-				Region:           sarifRegion{StartLine: line, StartColumn: f.Column},
-			}}},
-		})
-	}
-	return json.MarshalIndent(sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{run},
-	}, "", "  ")
 }
 
 // Baseline is the committed suppression-audit file.

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,11 +10,6 @@ import (
 func sampleResult() *ModuleResult {
 	return &ModuleResult{
 		Root: "/mod",
-		Findings: []Finding{{
-			Check:   "lockorder",
-			Message: "lock cycle",
-			Pos:     token.Position{Filename: "/mod/internal/cluster/wire.go", Line: 42, Column: 7},
-		}},
 		Suppressions: []Suppression{
 			{File: "/mod/internal/stats/qr.go", Line: 10, Directive: "ignore", Checks: []string{"floateq"}, Reason: "singularity sentinel"},
 			{File: "/mod/internal/tlb/state.go", Line: 20, Directive: "ckptexempt", Checks: []string{"cfg"}, Reason: "constructor-owned"},
@@ -24,30 +17,10 @@ func sampleResult() *ModuleResult {
 	}
 }
 
-func TestBuildReportRelativizesPaths(t *testing.T) {
-	r := BuildReport(sampleResult())
-	if got := r.Findings[0].File; got != "internal/cluster/wire.go" {
-		t.Errorf("finding file = %q, want module-relative", got)
-	}
-	if got := r.Suppressions[0].File; got != "internal/stats/qr.go" {
+func TestNewBaselineRelativizesPaths(t *testing.T) {
+	b := NewBaseline(sampleResult())
+	if got := b.Suppressions[0].File; got != "internal/stats/qr.go" {
 		t.Errorf("suppression file = %q, want module-relative", got)
-	}
-}
-
-func TestSARIFDocument(t *testing.T) {
-	data, err := BuildReport(sampleResult()).SARIF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("SARIF output is not JSON: %v", err)
-	}
-	s := string(data)
-	for _, want := range []string{`"2.1.0"`, `"lockorder"`, `"internal/cluster/wire.go"`, `"%SRCROOT%"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("SARIF missing %s", want)
-		}
 	}
 }
 
@@ -56,20 +29,20 @@ func TestBaselineDiff(t *testing.T) {
 	b := NewBaseline(res)
 
 	t.Run("fresh baseline is clean", func(t *testing.T) {
-		if drift := b.Diff(BuildReport(res).Suppressions); len(drift) != 0 {
+		if drift := b.Diff(relativeSuppressions(res)); len(drift) != 0 {
 			t.Errorf("fresh baseline drifted: %v", drift)
 		}
 	})
 	t.Run("line moves are not drift", func(t *testing.T) {
-		moved := BuildReport(res).Suppressions
+		moved := relativeSuppressions(res)
 		moved[0].Line += 40 // unrelated edit shifted the file
 		if drift := b.Diff(moved); len(drift) != 0 {
 			t.Errorf("line-only move reported as drift: %v", drift)
 		}
 	})
 	t.Run("new exemption is drift", func(t *testing.T) {
-		extra := append(BuildReport(res).Suppressions, Suppression{
-			File: "internal/cpu/segment.go", Directive: "ignore", Checks: []string{"lockio"}, Reason: "new",
+		extra := append(relativeSuppressions(res), Suppression{
+			File: "internal/cpu/segment.go", Directive: "ignore", Checks: []string{"lockorder"}, Reason: "new",
 		})
 		drift := b.Diff(extra)
 		if len(drift) != 1 || !strings.Contains(drift[0], "not in baseline") {
@@ -77,13 +50,13 @@ func TestBaselineDiff(t *testing.T) {
 		}
 	})
 	t.Run("removed exemption is drift", func(t *testing.T) {
-		drift := b.Diff(BuildReport(res).Suppressions[:1])
+		drift := b.Diff(relativeSuppressions(res)[:1])
 		if len(drift) != 1 || !strings.Contains(drift[0], "no longer present") {
 			t.Errorf("removed exemption not flagged: %v", drift)
 		}
 	})
 	t.Run("reworded reason is drift", func(t *testing.T) {
-		reworded := BuildReport(res).Suppressions
+		reworded := relativeSuppressions(res)
 		reworded[1].Reason = "different justification"
 		drift := b.Diff(reworded)
 		if len(drift) != 2 { // one side missing, one side extra
