@@ -17,9 +17,9 @@ import (
 // sleeps — written directly under a held lock, and calls made under a lock
 // into functions that transitively block (the registry head-of-line
 // pattern: the critical section looks clean, the helper it calls does the
-// file I/O). The serving tier coalesces concurrent predict waves through
-// one registry read-lock, so either kind of blocking turns one slow
-// operation into head-of-line blocking for every client.
+// file I/O). Every predict takes the registry read lock, so either kind of
+// blocking turns one slow operation into head-of-line blocking for every
+// client.
 //
 // Lock identity is structural: a mutex is named by the struct field or
 // package-level variable it lives in (cluster.Coordinator.mu,

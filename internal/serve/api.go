@@ -33,8 +33,9 @@ func decodeStrict(r io.Reader, v any) error {
 		return fmt.Errorf("invalid JSON: %w", err)
 	}
 	// Trailing content after the value is malformed input, not a second
-	// message.
-	if dec.More() {
+	// message. dec.More reports false before a stray '}' or ']', so only
+	// end of input is accepted.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("invalid JSON: trailing data after request body")
 	}
 	return nil
@@ -76,12 +77,14 @@ func (p *predictRequest) validate() (registry.Request, error) {
 	if p.H == nil || p.M == nil || p.C == nil {
 		return req, errors.New("h, m, and c must all be given")
 	}
-	for name, v := range map[string]float64{"h": *p.H, "m": *p.M, "c": *p.C} {
+	// A fixed order makes the error for several bad inputs deterministic.
+	names := [...]string{"h", "m", "c"}
+	for i, v := range [...]float64{*p.H, *p.M, *p.C} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return req, fmt.Errorf("%s must be finite", name)
+			return req, fmt.Errorf("%s must be finite", names[i])
 		}
 		if v < 0 {
-			return req, fmt.Errorf("%s must be non-negative", name)
+			return req, fmt.Errorf("%s must be non-negative", names[i])
 		}
 	}
 	req.H, req.M, req.C = *p.H, *p.M, *p.C

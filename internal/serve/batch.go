@@ -2,163 +2,54 @@ package serve
 
 import (
 	"context"
-	"time"
 
 	"mosaic/internal/serve/registry"
 )
 
-// Request batching for the predict hot path: handlers hand their requests
-// to a single collector goroutine which coalesces whatever arrived within
-// a short window (or up to a size cap) into one registry.PredictBatch
-// call, so N concurrent predictions cost one read-lock acquisition instead
-// of N. Under light load the window never fills and the only cost is one
-// channel hop; under heavy load the batch amortizes lock and cache-line
-// traffic across the whole wave.
+// The predict hot path evaluates each request on its handler's own
+// goroutine under the registry read lock. A model evaluation takes about a
+// microsecond and an uncontended RLock nanoseconds, so handing requests to
+// a collector to coalesce them would cost more in goroutine hand-offs and
+// timer waits than it could save.
 
-// batchItem is one in-flight prediction with its reply channel.
-type batchItem struct {
-	req   registry.Request
-	reply chan registry.Outcome
-}
-
-// Batcher coalesces predict requests into registry batch evaluations.
+// Batcher evaluates predict requests against the registry and counts them.
 type Batcher struct {
-	reg   *registry.Registry
-	in    chan batchItem
-	stop  context.CancelFunc
-	done  chan struct{}
-	size  int
-	delay time.Duration
+	reg *registry.Registry
 
 	batches *Counter
 	items   *Counter
 }
 
-// BatcherConfig sizes the batcher.
+// BatcherConfig wires a batcher.
 type BatcherConfig struct {
-	// MaxBatch caps how many requests one registry call evaluates (min 1,
-	// default 64).
-	MaxBatch int
-	// MaxDelay caps how long the collector waits for the batch to fill
-	// after the first request arrives (default 200µs — well under the
-	// predict latency budget, long enough to catch a concurrent wave).
-	MaxDelay time.Duration
-	// Metrics, when set, receives batch counters.
+	// Metrics, when set, receives the evaluation counters.
 	Metrics *Metrics
 }
 
-// NewBatcher starts the collector goroutine.
+// NewBatcher registers the evaluation counters.
 func NewBatcher(reg *registry.Registry, cfg BatcherConfig) *Batcher {
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 200 * time.Microsecond
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	b := &Batcher{
-		reg:   reg,
-		in:    make(chan batchItem, cfg.MaxBatch),
-		stop:  cancel,
-		done:  make(chan struct{}),
-		size:  cfg.MaxBatch,
-		delay: cfg.MaxDelay,
-	}
 	mx := cfg.Metrics
 	if mx == nil {
 		mx = NewMetrics()
 	}
-	b.batches = mx.NewCounter("mosd_predict_batches_total", "Registry batch evaluations on the predict path.")
-	b.items = mx.NewCounter("mosd_predict_batched_requests_total", "Predict requests evaluated through batches.")
-	go b.loop(ctx)
-	return b
+	return &Batcher{
+		reg:     reg,
+		batches: mx.NewCounter("mosd_predict_batches_total", "Registry evaluations on the predict path (one per request)."),
+		items:   mx.NewCounter("mosd_predict_batched_requests_total", "Predict requests evaluated (one per evaluation)."),
+	}
 }
 
-// Predict submits one request and waits for its outcome (or ctx expiry).
+// Predict evaluates one request on the caller's goroutine; a request whose
+// context is already done is not evaluated.
 func (b *Batcher) Predict(ctx context.Context, req registry.Request) (registry.Prediction, error) {
-	item := batchItem{req: req, reply: make(chan registry.Outcome, 1)}
-	select {
-	case b.in <- item:
-	case <-ctx.Done():
-		return registry.Prediction{}, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return registry.Prediction{}, err
 	}
-	select {
-	case out := <-item.reply:
-		if out.Err != nil {
-			return registry.Prediction{}, out.Err
-		}
-		return out.Prediction, nil
-	case <-ctx.Done():
-		// The collector still evaluates and replies into the buffered
-		// channel; nobody listens. Cheap — a prediction is microseconds.
-		return registry.Prediction{}, ctx.Err()
-	}
+	pred, err := b.reg.Predict(req)
+	b.batches.Inc()
+	b.items.Inc()
+	return pred, err
 }
 
-// loop collects waves of requests and evaluates each as one batch.
-func (b *Batcher) loop(ctx context.Context) {
-	defer close(b.done)
-	items := make([]batchItem, 0, b.size)
-	reqs := make([]registry.Request, 0, b.size)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		// Block for the wave's first request.
-		select {
-		case <-ctx.Done():
-			return
-		case item := <-b.in:
-			items = append(items, item)
-		}
-		// Collect the rest of the wave until the window closes or the
-		// batch fills.
-		timer.Reset(b.delay)
-	collect:
-		for len(items) < b.size {
-			select {
-			case item := <-b.in:
-				items = append(items, item)
-			case <-timer.C:
-				break collect
-			case <-ctx.Done():
-				timer.Stop()
-				break collect
-			}
-		}
-		if len(items) == b.size {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		reqs = reqs[:0]
-		for _, it := range items {
-			reqs = append(reqs, it.req)
-		}
-		outs, err := b.reg.PredictBatch(reqs)
-		b.batches.Inc()
-		b.items.Add(uint64(len(items)))
-		for i, it := range items {
-			if err != nil {
-				it.reply <- registry.Outcome{Err: err}
-			} else {
-				it.reply <- outs[i]
-			}
-		}
-		items = items[:0]
-		if ctx.Err() != nil {
-			return
-		}
-	}
-}
-
-// Close stops the collector. In-flight waves finish; later Predicts block
-// until their context expires, so Close only after the listener stops.
-func (b *Batcher) Close() {
-	b.stop()
-	<-b.done
-}
+// Close is a no-op: the batcher owns no goroutine.
+func (b *Batcher) Close() {}

@@ -197,7 +197,7 @@ type Histogram struct {
 	bounds     []float64 // upper bounds, ascending, seconds
 	counts     []atomic.Uint64
 	count      atomic.Uint64
-	sumMicros  atomic.Uint64 // sum in microseconds to stay integral
+	sumNanos   atomic.Uint64 // sum in nanoseconds to stay integral
 }
 
 // DefaultLatencyBuckets spans sub-millisecond predict calls through
@@ -227,7 +227,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 	h.count.Add(1)
-	h.sumMicros.Add(uint64(d.Microseconds()))
+	h.sumNanos.Add(uint64(d.Nanoseconds()))
 }
 
 // Count reads the total number of observations.
@@ -259,7 +259,7 @@ func (h *Histogram) write(w io.Writer) {
 	}
 	total := h.count.Load()
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, total)
-	fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(float64(h.sumMicros.Load())/1e6))
+	fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(float64(h.sumNanos.Load())/1e9))
 	fmt.Fprintf(w, "%s_count %d\n", h.name, total)
 }
 

@@ -443,43 +443,17 @@ const DefaultModel = "mosmodel"
 
 // Predict evaluates one request under a read lock.
 func (r *Registry) Predict(req Request) (Prediction, error) {
-	out, err := r.PredictBatch([]Request{req})
-	if err != nil {
-		return Prediction{}, err
-	}
-	if out[0].Err != nil {
-		return Prediction{}, out[0].Err
-	}
-	return out[0].Prediction, nil
-}
-
-// Outcome pairs one batched request's prediction with its error.
-type Outcome struct {
-	Prediction Prediction
-	Err        error
-}
-
-// PredictBatch evaluates many requests under a single read-lock
-// acquisition — the serving layer's request batcher feeds it whole batches
-// so the prediction hot path touches the lock once per batch, not once per
-// request. Per-request failures land in the matching Outcome; the error
-// return is reserved for registry-wide failures.
-func (r *Registry) PredictBatch(reqs []Request) ([]Outcome, error) {
-	out := make([]Outcome, len(reqs))
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for i, req := range reqs {
-		out[i] = r.predictLocked(req)
-	}
-	return out, nil
+	return r.predictLocked(req)
 }
 
 // predictLocked evaluates one request; callers hold (at least) the read
 // lock.
-func (r *Registry) predictLocked(req Request) Outcome {
+func (r *Registry) predictLocked(req Request) (Prediction, error) {
 	pair, ok := r.pairs[key(req.Workload, req.Platform)]
 	if !ok {
-		return Outcome{Err: fmt.Errorf("%w: %s", ErrUnknownPair, key(req.Workload, req.Platform))}
+		return Prediction{}, fmt.Errorf("%w: %s", ErrUnknownPair, key(req.Workload, req.Platform))
 	}
 	name := req.Model
 	if name == "" {
@@ -487,18 +461,18 @@ func (r *Registry) predictLocked(req Request) Outcome {
 	}
 	tm, ok := pair.Models[name]
 	if !ok {
-		return Outcome{Err: fmt.Errorf("%w: %s for %s", ErrUnknownModel, name, key(req.Workload, req.Platform))}
+		return Prediction{}, fmt.Errorf("%w: %s for %s", ErrUnknownModel, name, key(req.Workload, req.Platform))
 	}
 	h, m, c := req.H, req.M, req.C
 	if req.Layout != "" {
 		s, ok := pair.sample(req.Layout)
 		if !ok {
-			return Outcome{Err: fmt.Errorf("%w: %q for %s", ErrUnknownLayout, req.Layout, key(req.Workload, req.Platform))}
+			return Prediction{}, fmt.Errorf("%w: %q for %s", ErrUnknownLayout, req.Layout, key(req.Workload, req.Platform))
 		}
 		h, m, c = s.H, s.M, s.C
 	}
 	rt := tm.Model.Predict(h, m, c)
-	return Outcome{Prediction: Prediction{
+	return Prediction{
 		Workload: pair.Workload, Platform: pair.Platform, Model: name,
 		Layout: req.Layout, H: h, M: m, C: c,
 		Runtime:     rt,
@@ -506,7 +480,7 @@ func (r *Registry) predictLocked(req Request) Outcome {
 		Hi:          rt * (1 + tm.MaxTrainErr),
 		MaxTrainErr: tm.MaxTrainErr,
 		GeoTrainErr: tm.GeoTrainErr,
-	}}
+	}, nil
 }
 
 // sample resolves a layout name to its training sample.

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -30,14 +31,10 @@ type ServerConfig struct {
 	// JobWorkers / JobQueueDepth size the job manager (defaults 2 / 16).
 	JobWorkers    int
 	JobQueueDepth int
-	// PredictTimeout bounds one predict call (default 5s).
-	PredictTimeout time.Duration
 	// RetryAfter is the 429 hint before any job has completed; once the
 	// saturation window has observations the hint is derived from backlog
 	// × mean job wall time ÷ capacity instead (default 10s).
 	RetryAfter time.Duration
-	// Batch configures the predict batcher.
-	Batch BatcherConfig
 	// PoolIdle, when set, backs the sim-pool occupancy gauge (wire it to
 	// SweepExecutor.PoolIdle).
 	PoolIdle func() int
@@ -77,9 +74,6 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.JobQueueDepth < 1 {
 		cfg.JobQueueDepth = 16
 	}
-	if cfg.PredictTimeout <= 0 {
-		cfg.PredictTimeout = 5 * time.Second
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 10 * time.Second
 	}
@@ -101,8 +95,7 @@ func NewServer(cfg ServerConfig) *Server {
 		})
 	}
 
-	cfg.Batch.Metrics = s.metrics
-	s.batcher = NewBatcher(cfg.Registry, cfg.Batch)
+	s.batcher = NewBatcher(cfg.Registry, BatcherConfig{Metrics: s.metrics})
 
 	if cfg.Executor != nil {
 		jmCfg := JobManagerConfig{
@@ -167,23 +160,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.httpSec.Observe(time.Since(start))
 		if rec := recover(); rec != nil {
 			// A handler bug must not kill the daemon; surface a 500.
+			log.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
 			s.reqErrors.Inc("500")
 			http.Error(w, `{"error":"internal error"}`, http.StatusInternalServerError)
-			_ = debug.Stack() // keep the import; stack logging is the caller's hook
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
 }
 
-// Shutdown drains the job manager (graceful stop) and the batcher.
+// Shutdown drains the job manager (graceful stop).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	var err error
 	if s.jobs != nil {
-		err = s.jobs.Drain(ctx)
+		return s.jobs.Drain(ctx)
 	}
-	s.batcher.Close()
-	return err
+	return nil
 }
 
 // routes registers every endpoint (Go 1.22 method+pattern routing).
@@ -224,7 +215,7 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	s.writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// handlePredict evaluates one model through the batcher.
+// handlePredict evaluates one model on the handler's goroutine.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var body predictRequest
 	if err := decodeStrict(r.Body, &body); err != nil {
@@ -236,10 +227,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.PredictTimeout)
-	defer cancel()
 	start := time.Now()
-	pred, err := s.batcher.Predict(ctx, req)
+	pred, err := s.batcher.Predict(r.Context(), req)
 	s.predictSec.Observe(time.Since(start))
 	switch {
 	case err == nil:
@@ -248,8 +237,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		errors.Is(err, registry.ErrUnknownModel),
 		errors.Is(err, registry.ErrUnknownLayout):
 		s.fail(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.fail(w, http.StatusGatewayTimeout, "prediction timed out")
 	default:
 		s.fail(w, http.StatusInternalServerError, "%v", err)
 	}

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -166,6 +168,8 @@ func TestPredictEndpoint(t *testing.T) {
 		{`{"workload":"gups/8GB","platform":"SandyBridge","bogus":true,"layout":"4KB"}`, 400},      // unknown field
 		{`not json`, 400},
 		{`{"workload":"gups/8GB","platform":"SandyBridge","layout":"4KB"} extra`, 400}, // trailing data
+		{`{"workload":"gups/8GB","platform":"SandyBridge","layout":"4KB"}}`, 400},      // trailing '}'
+		{`{"workload":"gups/8GB","platform":"SandyBridge","layout":"4KB"}]`, 400},      // trailing ']'
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/predict", c.body)
@@ -488,14 +492,24 @@ func TestPredictLoad(t *testing.T) {
 	if p99 >= 50*time.Millisecond {
 		t.Errorf("p99 latency %v, want < 50ms", p99)
 	}
-	// The batcher actually coalesced: fewer registry batches than requests.
+	// Every request was evaluated exactly once, one evaluation per request.
 	batches := s.batcher.batches.Value()
 	items := s.batcher.items.Value()
-	if items != uint64(clients*perClient) {
-		t.Errorf("batched items %d, want %d", items, clients*perClient)
+	if want := uint64(clients * perClient); batches != want || items != want {
+		t.Errorf("%d evaluations for %d requests, want %d of each", batches, items, want)
 	}
-	if batches >= items {
-		t.Errorf("batcher never coalesced: %d batches for %d items", batches, items)
+}
+
+// TestPredictValidationOrder: a body with several bad inputs always names
+// the first of h, m, c.
+func TestPredictValidationOrder(t *testing.T) {
+	_, ts := newTestServer(t, ServerConfig{})
+	for i := 0; i < 20; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/predict",
+			`{"workload":"gups/8GB","platform":"SandyBridge","h":-1,"m":-1,"c":3}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "h must be non-negative") {
+			t.Fatalf("attempt %d: %d %s, want 400 naming h", i, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -812,9 +826,31 @@ func TestRetryAfterDerivedFromSaturation(t *testing.T) {
 	}
 }
 
-// TestPanicRecovery: a panicking handler answers 500, and the daemon keeps
-// serving.
+// lockedBuffer is a log sink that handler goroutines and the test may
+// touch at once.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestPanicRecovery: a panicking handler answers 500 and logs the panic
+// with its stack, and the daemon keeps serving.
 func TestPanicRecovery(t *testing.T) {
+	var logged lockedBuffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
 	s, ts := newTestServer(t, ServerConfig{})
 	s.mux.HandleFunc("GET /boom", func(w http.ResponseWriter, r *http.Request) { panic("boom") })
 	resp, err := http.Get(ts.URL + "/boom")
@@ -824,6 +860,9 @@ func TestPanicRecovery(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("panicking handler: %d", resp.StatusCode)
+	}
+	if out := logged.String(); !strings.Contains(out, "boom") || !strings.Contains(out, "goroutine") {
+		t.Errorf("panic log lacks the value or the stack: %q", out)
 	}
 	if resp := getJSON(t, ts.URL+"/healthz", nil); resp.StatusCode != 200 {
 		t.Errorf("daemon dead after panic: %d", resp.StatusCode)
