@@ -41,12 +41,12 @@ func (l Level) String() string {
 
 // Cache is one set-associative, LRU-replacement cache level indexed and
 // tagged by physical address. Each set's tags are kept in recency order —
-// slot 0 is the MRU line, the last slot the LRU victim — so recency is
-// maintained by moving a hit tag to the front of its set (a ≤76-byte copy
-// within the lines the probe already streamed) instead of updating side
-// arrays. Invalid lines drift to the back and are victimized first, and a
-// re-ordered set hits and evicts identically to any other exact-LRU
-// bookkeeping.
+// slot 0 is the MRU line, the last slot the LRU victim — and every access
+// is one probe-and-fill pass over its set (see probe): the pass shifts each
+// slot it walks past one place toward LRU and puts the accessed tag at MRU,
+// so a hit and a miss-plus-fill both cost a single scan. Invalid lines
+// drift to the back and are victimized first, and a re-ordered set hits
+// and evicts identically to any other exact-LRU bookkeeping.
 type Cache struct {
 	name     string
 	sets     int
@@ -59,8 +59,8 @@ type Cache struct {
 	// are 32-bit: modelled physical memory tops out at 64GB (2^36) and
 	// lines are ≥64B, so block numbers need at most 30 bits — and halving
 	// the tag width halves the bytes every probe streams through the set.
-	// Insert enforces the width, so an out-of-range address fails loudly
-	// rather than aliasing.
+	// Every access checks the width before it probes, so an out-of-range
+	// address fails loudly rather than aliasing.
 	tags    []uint32
 	latency int
 }
@@ -102,73 +102,70 @@ func NewCache(name string, cfg arch.CacheConfig) (*Cache, error) {
 	return c, nil
 }
 
+// maxBlock bounds the block numbers a 32-bit tag (block + 1, with 0 kept
+// for invalid lines) can hold.
+const maxBlock = 1<<32 - 1
+
+// tagOverflow reports a block number beyond the tag width. It is kept out
+// of line so the formatting stays off the per-access kernels.
+//
+//go:noinline
+func tagOverflow(name string, blk uint64) {
+	panic(fmt.Sprintf("cache: %s: block %#x exceeds the 32-bit tag width", name, blk))
+}
+
 // setIndex maps a block number to its set. Real L3 slices are not
 // power-of-two counts (e.g. 15MB/20-way = 12288 sets), and a hardware
 // divide per probe dominates the scan itself, so non-power-of-two sets use
-// Lemire's exact fastmod when the block number fits 32 bits.
+// Lemire's exact fastmod, which holds because every probed block number
+// is below maxBlock and so fits 32 bits.
 func (c *Cache) setIndex(blk uint64) int {
-	switch {
-	case c.pow2:
+	if c.pow2 {
 		return int(blk & c.setMask)
-	case blk <= 0xffffffff:
-		hi, _ := bits.Mul64(c.fastM*blk, uint64(c.sets))
-		return int(hi)
-	default:
-		return int(blk % uint64(c.sets))
 	}
+	hi, _ := bits.Mul64(c.fastM*blk, uint64(c.sets))
+	return int(hi)
 }
 
-// Lookup probes the cache for the line containing phys; on a hit the line's
-// recency is refreshed by moving its tag to the set's MRU slot.
-func (c *Cache) Lookup(phys mem.Addr) bool {
-	return c.lookupB(uint64(phys) >> c.lineBits)
+// Access loads the line containing phys and reports whether it was
+// resident. A miss fills the line, evicting the set's LRU victim (which
+// simply falls off the back of the set — the model has no writeback
+// traffic, so nobody needs the victim's identity).
+func (c *Cache) Access(phys mem.Addr) bool {
+	blk := uint64(phys) >> c.lineBits
+	if blk >= maxBlock {
+		tagOverflow(c.name, blk)
+	}
+	return c.probe(blk)
 }
 
-// lookupB is Lookup on a pre-shifted block number — the hierarchy computes
-// the block once per access and probes every level with it.
-func (c *Cache) lookupB(blk uint64) bool {
-	set := c.setIndex(blk)
-	base := set * c.assoc
+// probe is Access on a pre-shifted, width-checked block number — the
+// hierarchy computes the block once per access and probes every level
+// with it. One pass looks the tag up and fills it: each slot the scan
+// walks past moves one place toward LRU, so a hit at slot i ends with the
+// tag at MRU and slots [0,i) moved back by one, and a miss ends with the
+// tag at MRU and the LRU victim dropped off the back — exactly the state a
+// lookup followed by an insert leaves, in one scan instead of two.
+func (c *Cache) probe(blk uint64) bool {
 	tagv := uint32(blk) + 1 // full block number as tag (set bits included, harmless)
+	base := c.setIndex(blk) * c.assoc
 	tags := c.tags[base : base+c.assoc]
 	// Slot 0 first: repeated touches of a hot line are the common case,
 	// and an MRU hit needs no re-ordering at all.
-	if tags[0] == tagv {
+	prev := tags[0]
+	if prev == tagv {
 		return true
 	}
-	for i := 1; i < len(tags); i++ {
-		if tags[i] == tagv {
-			// Shift by hand: the move is 1–19 words, far below the size
-			// where a memmove call beats a simple backward loop.
-			for j := i; j > 0; j-- {
-				tags[j] = tags[j-1]
-			}
-			tags[0] = tagv
+	tags[0] = tagv
+	rest := tags[1:]
+	for i, cur := range rest {
+		rest[i] = prev
+		if cur == tagv {
 			return true
 		}
+		prev = cur
 	}
 	return false
-}
-
-// Insert fills the line containing phys, evicting the set's LRU victim
-// (which simply falls off the back of the set — the model has no writeback
-// traffic, so nobody needs the victim's identity). The caller guarantees
-// the line is not already present: Hierarchy.Access only inserts into
-// levels whose lookup just missed.
-func (c *Cache) Insert(phys mem.Addr) {
-	c.insertB(uint64(phys) >> c.lineBits)
-}
-
-// insertB is Insert on a pre-shifted block number.
-func (c *Cache) insertB(blk uint64) {
-	if blk >= 1<<32-1 {
-		panic(fmt.Sprintf("cache: %s: block %#x exceeds the 32-bit tag width", c.name, blk))
-	}
-	set := c.setIndex(blk)
-	base := set * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	copy(tags[1:], tags[:len(tags)-1])
-	tags[0] = uint32(blk) + 1
 }
 
 // Latency returns the level's hit latency in cycles.
@@ -252,13 +249,11 @@ func (s Stats) Add(o Stats) Stats {
 // parts (pre-Skylake-SP inclusive L3).
 type Hierarchy struct {
 	l1, l2, l3 *Cache
-	// lineBits is the levels' shared line shift: every modelled platform
-	// uses 64B lines at all levels, so Access shifts the address into a
-	// block number once and probes each level with it. uniform guards the
-	// (hypothetical) mixed-line-size configuration, which falls back to
-	// per-level shifting.
+	// lineBits is the levels' shared line shift: NewHierarchy requires one
+	// line size at all levels (every modelled platform uses 64B lines), so
+	// Access shifts the address into a block number once and probes each
+	// level with it.
 	lineBits uint
-	uniform  bool
 	dramLat  int
 	stats    Stats
 	// walkerPrivate, when non-nil, gives the walker a private cache: its
@@ -282,10 +277,13 @@ func NewHierarchy(p arch.Platform) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
+	if l2.lineBits != l1.lineBits || l3.lineBits != l1.lineBits {
+		return nil, fmt.Errorf("cache: %s: line sizes differ across levels (L1d %dB, L2 %dB, L3 %dB)",
+			p.Name, p.L1D.LineBytes, p.L2.LineBytes, p.L3.LineBytes)
+	}
 	return &Hierarchy{
 		l1: l1, l2: l2, l3: l3,
 		lineBits: l1.lineBits,
-		uniform:  l1.lineBits == l2.lineBits && l2.lineBits == l3.lineBits,
 		dramLat:  p.DRAMLat,
 	}, nil
 }
@@ -308,103 +306,55 @@ func (h *Hierarchy) SetWalkerPrivate(p arch.Platform) error {
 // lines in every level just like program loads do, producing the cache
 // pollution the paper measures.
 //
+// Each level is one probe-and-fill pass, L1 first, and Access returns at
+// the first level that hits. Filling at probe time is exact: every level
+// an access misses must end up holding the line anyway, and the levels
+// are separate arrays, so filling L1 before L2 is probed changes nothing
+// L2 sees.
+//
 //mosvet:hotpath
 func (h *Hierarchy) Access(phys mem.Addr, walker bool) (Level, int) {
 	if walker && h.walkerPrivate != nil {
 		h.stats.L1Loads.Walker++
-		if h.walkerPrivate.Lookup(phys) {
+		if h.walkerPrivate.Access(phys) {
 			return LevelL2, h.walkerPrivate.latency
 		}
 		h.stats.DRAMLoads.Walker++
-		h.walkerPrivate.Insert(phys)
 		return LevelDRAM, h.dramLat
 	}
-	if !h.uniform {
-		return h.accessSlow(phys, walker)
-	}
 	blk := uint64(phys) >> h.lineBits
+	if blk >= maxBlock {
+		tagOverflow(h.l1.name, blk)
+	}
 	if walker {
 		h.stats.L1Loads.Walker++
-		if h.l1.lookupB(blk) {
+		if h.l1.probe(blk) {
 			return LevelL1, h.l1.latency
 		}
 		h.stats.L2Loads.Walker++
-		if h.l2.lookupB(blk) {
-			h.l1.insertB(blk)
+		if h.l2.probe(blk) {
 			return LevelL2, h.l2.latency
 		}
 		h.stats.L3Loads.Walker++
-		if h.l3.lookupB(blk) {
-			h.l1.insertB(blk)
-			h.l2.insertB(blk)
+		if h.l3.probe(blk) {
 			return LevelL3, h.l3.latency
 		}
 		h.stats.DRAMLoads.Walker++
 	} else {
 		h.stats.L1Loads.Program++
-		if h.l1.lookupB(blk) {
+		if h.l1.probe(blk) {
 			return LevelL1, h.l1.latency
 		}
 		h.stats.L2Loads.Program++
-		if h.l2.lookupB(blk) {
-			h.l1.insertB(blk)
+		if h.l2.probe(blk) {
 			return LevelL2, h.l2.latency
 		}
 		h.stats.L3Loads.Program++
-		if h.l3.lookupB(blk) {
-			h.l1.insertB(blk)
-			h.l2.insertB(blk)
+		if h.l3.probe(blk) {
 			return LevelL3, h.l3.latency
 		}
 		h.stats.DRAMLoads.Program++
 	}
-	h.l1.insertB(blk)
-	h.l2.insertB(blk)
-	h.l3.insertB(blk)
-	return LevelDRAM, h.dramLat
-}
-
-// accessSlow handles hierarchies whose levels disagree on line size (no
-// modelled platform does): each level shifts the address itself.
-func (h *Hierarchy) accessSlow(phys mem.Addr, walker bool) (Level, int) {
-	if walker {
-		h.stats.L1Loads.Walker++
-		if h.l1.Lookup(phys) {
-			return LevelL1, h.l1.latency
-		}
-		h.stats.L2Loads.Walker++
-		if h.l2.Lookup(phys) {
-			h.l1.Insert(phys)
-			return LevelL2, h.l2.latency
-		}
-		h.stats.L3Loads.Walker++
-		if h.l3.Lookup(phys) {
-			h.l1.Insert(phys)
-			h.l2.Insert(phys)
-			return LevelL3, h.l3.latency
-		}
-		h.stats.DRAMLoads.Walker++
-	} else {
-		h.stats.L1Loads.Program++
-		if h.l1.Lookup(phys) {
-			return LevelL1, h.l1.latency
-		}
-		h.stats.L2Loads.Program++
-		if h.l2.Lookup(phys) {
-			h.l1.Insert(phys)
-			return LevelL2, h.l2.latency
-		}
-		h.stats.L3Loads.Program++
-		if h.l3.Lookup(phys) {
-			h.l1.Insert(phys)
-			h.l2.Insert(phys)
-			return LevelL3, h.l3.latency
-		}
-		h.stats.DRAMLoads.Program++
-	}
-	h.l1.Insert(phys)
-	h.l2.Insert(phys)
-	h.l3.Insert(phys)
 	return LevelDRAM, h.dramLat
 }
 

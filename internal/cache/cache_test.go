@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mosaic/internal/arch"
@@ -17,35 +19,43 @@ func TestCacheHitAfterInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Lookup(0x1000) {
+	if c.Access(0x1000) {
 		t.Error("cold cache should miss")
 	}
-	c.Insert(0x1000)
-	if !c.Lookup(0x1000) {
-		t.Error("inserted line should hit")
+	// The miss filled the line.
+	if !c.Access(0x1000) {
+		t.Error("filled line should hit")
 	}
 	// Same line, different byte.
-	if !c.Lookup(0x103f) {
+	if !c.Access(0x103f) {
 		t.Error("same-line offset should hit")
 	}
-	if c.Lookup(0x1040) {
+	if c.Access(0x1040) {
 		t.Error("next line should miss")
 	}
 }
 
+// The eviction tests probe the lines that must survive before the one that
+// must have gone: a probe that misses fills, so probing the victim first
+// would itself evict a survivor.
+
 func TestCacheLRUEviction(t *testing.T) {
 	c, _ := NewCache("t", small())
 	sets := c.Sets()
-	// Fill one set beyond capacity; the first-inserted line is evicted.
+	// Fill one set beyond capacity; the first-filled line is evicted.
 	stride := mem.Addr(sets * 64)
 	for i := 0; i <= c.Assoc(); i++ {
-		c.Insert(mem.Addr(i) * stride)
+		if c.Access(mem.Addr(i) * stride) {
+			t.Fatalf("fill %d hit a cold set", i)
+		}
 	}
-	if c.Lookup(0) {
+	for i := 1; i <= c.Assoc(); i++ {
+		if !c.Access(mem.Addr(i) * stride) {
+			t.Errorf("line filled %d-th should survive", i+1)
+		}
+	}
+	if c.Access(0) {
 		t.Error("LRU victim should have been evicted")
-	}
-	if !c.Lookup(stride) {
-		t.Error("second-inserted line should survive")
 	}
 }
 
@@ -53,15 +63,116 @@ func TestCacheLRUTouchPreventsEviction(t *testing.T) {
 	c, _ := NewCache("t", small())
 	stride := mem.Addr(c.Sets() * 64)
 	for i := 0; i < c.Assoc(); i++ {
-		c.Insert(mem.Addr(i) * stride)
+		c.Access(mem.Addr(i) * stride)
 	}
-	c.Lookup(0) // refresh line 0
-	c.Insert(mem.Addr(c.Assoc()) * stride)
-	if !c.Lookup(0) {
+	if !c.Access(0) { // refresh line 0
+		t.Fatal("resident line should hit")
+	}
+	if c.Access(mem.Addr(c.Assoc()) * stride) {
+		t.Fatal("new line should miss")
+	}
+	if !c.Access(0) {
 		t.Error("recently touched line should survive")
 	}
-	if c.Lookup(stride) {
+	if c.Access(stride) {
 		t.Error("the now-LRU line should have been evicted")
+	}
+}
+
+// refLRU is the textbook exact-LRU model probe must match: each set is a
+// recency list, MRU first, that a hit reorders and a miss prepends to,
+// dropping the LRU entry once the set is full.
+type refLRU struct {
+	assoc int
+	sets  [][]uint64
+}
+
+func newRefLRU(sets, assoc int) *refLRU {
+	return &refLRU{assoc: assoc, sets: make([][]uint64, sets)}
+}
+
+func (r *refLRU) access(set int, key uint64) bool {
+	l := r.sets[set]
+	i := slices.Index(l, key)
+	if i >= 0 {
+		l = slices.Delete(l, i, i+1)
+	}
+	l = slices.Insert(l, 0, key)
+	r.sets[set] = l[:min(len(l), r.assoc)]
+	return i >= 0
+}
+
+// TestProbeMatchesReferenceLRU drives random streams over a block universe
+// about twice each cache's capacity, so hits at every depth, refreshes and
+// evictions all occur, and checks every hit/miss and the final recency
+// order of every set against refLRU.
+func TestProbeMatchesReferenceLRU(t *testing.T) {
+	const accesses = 100_000
+	for _, assoc := range []int{1, 4, 8, 20} {
+		for _, sets := range []int{16, 12} { // power of two, and the fastmod path
+			c, err := NewCache("t", arch.CacheConfig{SizeBytes: sets * assoc * 64, LineBytes: 64, Assoc: assoc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefLRU(sets, assoc)
+			rng := rand.New(rand.NewSource(int64(assoc*100 + sets)))
+			universe := make([]uint64, 2*sets*assoc)
+			for i := range universe {
+				universe[i] = rng.Uint64() % maxBlock
+			}
+			for n := 0; n < accesses; n++ {
+				blk := universe[rng.Intn(len(universe))]
+				got := c.Access(mem.Addr(blk << 6))
+				if want := ref.access(int(blk%uint64(sets)), blk); got != want {
+					t.Fatalf("assoc %d, %d sets: access %d (block %#x) hit=%v, reference says %v",
+						assoc, sets, n, blk, got, want)
+				}
+			}
+			tags := c.Snapshot().Tags
+			for set, l := range ref.sets {
+				want := make([]uint32, assoc)
+				for i, blk := range l {
+					want[i] = uint32(blk) + 1
+				}
+				if got := tags[set*assoc : (set+1)*assoc]; !slices.Equal(got, want) {
+					t.Errorf("assoc %d, %d sets: set %d order %v, reference %v", assoc, sets, set, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A block number beyond the 32-bit tag width must fail loudly: truncated,
+// it would alias a resident line whose low 32 bits match.
+func TestAccessRejectsTagAliasing(t *testing.T) {
+	const alias = mem.Addr(1<<38 | 0x40)
+	mustPanic := func(name string, access func() string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		t.Errorf("%s: address %#x served: %s", name, uint64(alias), access())
+	}
+	h, _ := NewHierarchy(arch.SandyBridge)
+	h.Access(0x40, false)
+	mustPanic("Hierarchy.Access", func() string {
+		lvl, lat := h.Access(alias, false)
+		return fmt.Sprintf("%v after %d cycles", lvl, lat)
+	})
+	c, _ := NewCache("t", small())
+	c.Access(0x40)
+	mustPanic("Cache.Access", func() string {
+		return fmt.Sprintf("hit=%v", c.Access(alias))
+	})
+}
+
+func TestHierarchyRejectsMixedLineSizes(t *testing.T) {
+	p := arch.SandyBridge
+	p.L2.LineBytes = 128
+	if _, err := NewHierarchy(p); err == nil {
+		t.Error("an L2 with 128B lines under 64B L1d/L3 lines should be refused")
 	}
 }
 

@@ -47,7 +47,7 @@ type HierarchyState struct {
 
 // Snapshot captures all levels and the counters.
 //
-//mosvet:ckptexempt lineBits,uniform,dramLat geometry and DRAM latency are platform configuration rebuilt by the constructor, not replayed state
+//mosvet:ckptexempt lineBits,dramLat geometry and DRAM latency are platform configuration rebuilt by the constructor, not replayed state
 func (h *Hierarchy) Snapshot() HierarchyState {
 	s := HierarchyState{
 		L1:    h.l1.Snapshot(),

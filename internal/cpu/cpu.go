@@ -326,7 +326,6 @@ func (m *Machine) Measure(name string, cols *trace.Columns, lo, hi int) error {
 			st.bd.WalkQueue += queueWait
 			st.bd.WalkStall += lat * (1 - hide)
 			st.missRate += 1 / rateTau
-			m.tlb.Insert(va, ps)
 		}
 
 		// The data reference itself. Stores are charged like loads: a
@@ -375,7 +374,6 @@ func (m *Machine) Warm(name string, cols *trace.Columns, lo, hi int) error {
 				return &FaultError{Trace: name, Index: i, VA: uint64(va), Walk: true}
 			}
 			st.missRate += 1 / rateTau
-			m.tlb.Insert(va, ps)
 		}
 		m.hier.Access(phys, false)
 	}

@@ -21,7 +21,6 @@ func ProfileMisses(tr *trace.Trace, cfg arch.TLBConfig, t Target) MissProfile {
 	for i := 0; i < cols.Len(); i++ {
 		va := cols.VA(i)
 		if tb.Lookup(va, mem.Page4K) == tlb.Miss {
-			tb.Insert(va, mem.Page4K)
 			if off, ok := t.ConcatOffset(va); ok {
 				p.Counts[off/chunk]++
 			}

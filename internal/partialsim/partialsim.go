@@ -176,7 +176,6 @@ func (s *Simulator) Measure(name string, cols *trace.Columns, lo, hi int) error 
 			}
 			m.C += uint64(res.Latency)
 			m.WalkRefs += uint64(res.Refs)
-			s.tlb.Insert(va, ps)
 		}
 		if s.SimulateProgramCache {
 			// Same order as the full machine: the data reference follows
@@ -205,7 +204,6 @@ func (s *Simulator) Warm(name string, cols *trace.Columns, lo, hi int) error {
 			if res.Fault {
 				return &cpu.FaultError{Trace: name, Index: i, VA: uint64(va), Walk: true}
 			}
-			s.tlb.Insert(va, ps)
 		}
 		if s.SimulateProgramCache {
 			s.hier.Access(phys, false)

@@ -43,13 +43,14 @@ func (o Outcome) String() string {
 }
 
 // setAssoc is a set-associative translation structure with LRU replacement.
-// A tag of 0 marks an invalid entry (real tags are never 0 — tagOf's size
-// code occupies the low bits). Each set's tags sit in recency order — slot 0
-// MRU, last slot LRU — the same move-to-front scheme as cache.Cache, so a
-// hit refreshes recency by shifting the tag to the front of the set and an
-// insert victimizes whatever occupies the back. Invalid entries drift to the
-// back and are consumed first, and a re-ordered set hits and evicts
-// identically to any other exact-LRU bookkeeping.
+// A tag of 0 marks an invalid entry (real tags are never 0 — the size code
+// occupies the low bits). Each set's tags sit in recency order — slot 0
+// MRU, last slot LRU — and, as in cache.Cache, every access is one
+// probe-and-fill pass over its set: the translation ends at MRU whether it
+// hit or was filled, and a fill victimizes whatever occupied the back.
+// Invalid entries drift to the back and are consumed first, and a
+// re-ordered set hits and evicts identically to any other exact-LRU
+// bookkeeping.
 type setAssoc struct {
 	sets    int
 	assoc   int
@@ -77,7 +78,12 @@ func newSetAssoc(entries, assoc int) *setAssoc {
 	}
 }
 
-func (s *setAssoc) lookup(idx, tag uint64) bool {
+// probe looks tag up in set idx and leaves it at the set's MRU slot,
+// reporting whether it was present. One pass does both: each slot the scan
+// walks past moves one place toward LRU, so a hit at slot i ends with
+// slots [0,i) moved back by one, and a miss ends with the tag filled at
+// MRU and the LRU victim dropped off the back.
+func (s *setAssoc) probe(idx, tag uint64) bool {
 	if s == nil {
 		return false
 	}
@@ -85,37 +91,20 @@ func (s *setAssoc) lookup(idx, tag uint64) bool {
 	tags := s.tags[base : base+s.assoc]
 	// Slot 0 first: repeated translations of one page are the common case,
 	// and an MRU hit needs no re-ordering at all.
-	if tags[0] == tag {
+	prev := tags[0]
+	if prev == tag {
 		return true
 	}
-	for i := 1; i < len(tags); i++ {
-		if tags[i] == tag {
-			for j := i; j > 0; j-- {
-				tags[j] = tags[j-1]
-			}
-			tags[0] = tag
+	tags[0] = tag
+	rest := tags[1:]
+	for i, cur := range rest {
+		rest[i] = prev
+		if cur == tag {
 			return true
 		}
+		prev = cur
 	}
 	return false
-}
-
-func (s *setAssoc) insert(idx, tag uint64) {
-	if s == nil {
-		return
-	}
-	base := int(idx&s.setMask) * s.assoc
-	tags := s.tags[base : base+s.assoc]
-	// An insert of a tag the set already holds just refreshes its recency.
-	shift := len(tags) - 1
-	for i, t := range tags {
-		if t == tag {
-			shift = i
-			break
-		}
-	}
-	copy(tags[1:shift+1], tags[:shift])
-	tags[0] = tag
 }
 
 func (s *setAssoc) flush() {
@@ -216,10 +205,6 @@ func sizeCode(ps mem.PageSize) uint64 {
 	return 0
 }
 
-func tagOf(v mem.Addr, ps mem.PageSize) uint64 {
-	return mem.PageNumber(v, ps)<<2 | sizeCode(ps)
-}
-
 // New builds a TLB from a platform's configuration.
 func New(cfg arch.TLBConfig) *TLB {
 	t := &TLB{
@@ -235,61 +220,54 @@ func New(cfg arch.TLBConfig) *TLB {
 	return t
 }
 
-// l2Holds reports whether the L2 TLB caches translations of this size.
-func (t *TLB) l2Holds(ps mem.PageSize) bool {
+// l2For returns the second-level structure that caches translations of
+// this size, or nil where the platform's L2 TLB does not hold them.
+func (t *TLB) l2For(ps mem.PageSize) *setAssoc {
 	switch ps {
 	case mem.Page4K:
-		return t.l2 != nil
+		return t.l2
 	case mem.Page2M:
-		return t.cfg.L2Shared2M && t.l2 != nil
+		if t.cfg.L2Shared2M {
+			return t.l2
+		}
 	case mem.Page1G:
-		return t.l21g != nil
+		return t.l21g
 	}
-	return false
+	return nil
 }
 
-// Lookup translates one access to a page of the given size. On an L2 hit
-// the translation is refilled into the L1. On a miss the caller performs a
-// page walk and must call Insert with the walk's result.
+// Lookup translates one access to a page of the given size and leaves the
+// translation filled on the way down: a miss in the L1 fills the L1, and a
+// miss in an L2 that holds this size fills the L2. After a Miss the caller
+// performs the page walk; the TLB already holds its result, so no separate
+// fill follows.
 func (t *TLB) Lookup(v mem.Addr, ps mem.PageSize) Outcome {
 	t.stats.Lookups++
 	code := sizeCode(ps)
 	vpn := mem.PageNumber(v, ps)
 	tag := vpn<<2 | code
-	l1 := t.l1For(ps)
-	if l1.lookup(vpn, tag) {
+	if t.l1For(ps).probe(vpn, tag) {
 		t.stats.L1Hits++
 		return L1Hit
 	}
-	if t.l2Holds(ps) {
-		l2 := t.l2
-		if ps == mem.Page1G {
-			l2 = t.l21g
-		}
-		if l2.lookup(vpn, tag) {
-			t.stats.L2Hits++
-			l1.insert(vpn, tag)
-			return L2Hit
-		}
+	if t.l2For(ps).probe(vpn, tag) {
+		t.stats.L2Hits++
+		return L2Hit
 	}
 	t.stats.Misses++
 	t.missBySize[code]++
 	return Miss
 }
 
-// Insert installs a completed walk's translation into the L1 and (where
-// supported) the L2.
+// Insert installs a translation into the L1 and (where supported) the L2
+// without counting a lookup. Right after a Lookup that missed, the
+// translation already sits at both MRU slots, so Insert then costs one
+// compare per level.
 func (t *TLB) Insert(v mem.Addr, ps mem.PageSize) {
 	vpn := mem.PageNumber(v, ps)
 	tag := vpn<<2 | sizeCode(ps)
-	t.l1For(ps).insert(vpn, tag)
-	if t.l2Holds(ps) {
-		if ps == mem.Page1G {
-			t.l21g.insert(vpn, tag)
-		} else {
-			t.l2.insert(vpn, tag)
-		}
-	}
+	t.l1For(ps).probe(vpn, tag)
+	t.l2For(ps).probe(vpn, tag)
 }
 
 // Reset restores the TLB to its just-built state: every entry invalidated,

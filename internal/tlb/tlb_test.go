@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mosaic/internal/arch"
@@ -184,5 +186,89 @@ func TestSetAssocDegradesToFullyAssociative(t *testing.T) {
 	}
 	if newSetAssoc(0, 4) != nil {
 		t.Error("zero entries should yield nil structure")
+	}
+}
+
+// refLRU is the textbook exact-LRU model probe must match: each set is a
+// recency list, MRU first, that a hit reorders and a miss prepends to,
+// dropping the LRU entry once the set is full.
+type refLRU struct {
+	assoc int
+	sets  [][]uint64
+}
+
+func (r *refLRU) access(set int, key uint64) bool {
+	l := r.sets[set]
+	i := slices.Index(l, key)
+	if i >= 0 {
+		l = slices.Delete(l, i, i+1)
+	}
+	l = slices.Insert(l, 0, key)
+	r.sets[set] = l[:min(len(l), r.assoc)]
+	return i >= 0
+}
+
+// TestProbeMatchesReferenceLRU drives random streams over a page universe
+// about twice each structure's capacity, so hits at every depth, refreshes
+// and evictions all occur, and checks every hit/miss and the final
+// recency order of every set against refLRU.
+func TestProbeMatchesReferenceLRU(t *testing.T) {
+	const accesses = 100_000
+	for _, geom := range []struct{ entries, assoc int }{
+		{64, 4},     // 16 sets: the SandyBridge 4KB L1
+		{1024, 8},   // 128 sets: the Haswell L2
+		{16, 12},    // degrades to fully associative
+		{24, 4},     // 6 sets: degrades to fully associative
+		{4, 4},      // one set by construction
+		{512, 1024}, // more ways than entries: fully associative
+	} {
+		s := newSetAssoc(geom.entries, geom.assoc)
+		ref := &refLRU{assoc: s.assoc, sets: make([][]uint64, s.sets)}
+		rng := rand.New(rand.NewSource(int64(geom.entries*100 + geom.assoc)))
+		universe := make([]uint64, 2*geom.entries)
+		for i := range universe {
+			universe[i] = rng.Uint64() >> 12
+		}
+		for n := 0; n < accesses; n++ {
+			vpn := universe[rng.Intn(len(universe))]
+			tag := vpn<<2 | sizeCode(mem.Page4K)
+			got := s.probe(vpn, tag)
+			if want := ref.access(int(vpn%uint64(s.sets)), tag); got != want {
+				t.Fatalf("%d entries/%d-way: access %d (vpn %#x) hit=%v, reference says %v",
+					geom.entries, geom.assoc, n, vpn, got, want)
+			}
+		}
+		for set, l := range ref.sets {
+			want := make([]uint64, s.assoc)
+			copy(want, l)
+			if got := s.tags[set*s.assoc : (set+1)*s.assoc]; !slices.Equal(got, want) {
+				t.Errorf("%d entries/%d-way: set %d order %v, reference %v", geom.entries, geom.assoc, set, got, want)
+			}
+		}
+	}
+}
+
+// Lookup fills on the way down, so a Miss followed by Insert leaves the
+// TLB exactly as the Miss alone does: the walk's result is already in.
+func TestLookupFillsOnMiss(t *testing.T) {
+	for _, plat := range []arch.Platform{arch.SandyBridge, arch.Haswell, arch.Broadwell} {
+		a, b := New(plat.TLB), New(plat.TLB)
+		rng := rand.New(rand.NewSource(7))
+		sizes := []mem.PageSize{mem.Page4K, mem.Page2M, mem.Page1G}
+		for n := 0; n < 20_000; n++ {
+			ps := sizes[rng.Intn(len(sizes))]
+			v := mem.Addr(rng.Intn(1<<12)) * mem.Addr(ps)
+			oa, ob := a.Lookup(v, ps), b.Lookup(v, ps)
+			if oa != ob {
+				t.Fatalf("%s: access %d: outcomes diverge: %v vs %v", plat.Name, n, oa, ob)
+			}
+			if ob == Miss {
+				b.Insert(v, ps)
+			}
+		}
+		if sa, sb := a.Snapshot(), b.Snapshot(); !slices.Equal(sa.L14K, sb.L14K) || !slices.Equal(sa.L12M, sb.L12M) ||
+			!slices.Equal(sa.L11G, sb.L11G) || !slices.Equal(sa.L2, sb.L2) || !slices.Equal(sa.L21G, sb.L21G) {
+			t.Errorf("%s: Insert after a Miss changed the TLB", plat.Name)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package trace
 
-import "mosaic/internal/mem"
+import (
+	"slices"
+
+	"mosaic/internal/mem"
+)
 
 // Columns is the structure-of-arrays representation of a trace: virtual
 // addresses, instruction gaps, and the write/dep flags packed one bit per
@@ -73,6 +77,29 @@ func (c *Columns) Append(a Access) {
 	if a.Dep {
 		c.dep[i>>6] |= 1 << (uint(i) & 63)
 	}
+}
+
+// extend appends n accesses to a root Columns and returns their VA and gap
+// entries for a decoder to fill in place; their flag bits start clear and
+// are set with setFlags. Capacity reserved by Grow is used first; beyond
+// it the columns grow as append grows a slice.
+func (c *Columns) extend(n int) (va []uint64, gap []uint32) {
+	lo := len(c.va)
+	c.va = slices.Grow(c.va, n)[:lo+n]
+	c.gap = slices.Grow(c.gap, n)[:lo+n]
+	for words := (lo + n + 63) >> 6; len(c.write) < words; {
+		c.write = append(c.write, 0)
+		c.dep = append(c.dep, 0)
+	}
+	return c.va[lo:], c.gap[lo:]
+}
+
+// setFlags sets access i's write and dep bits from an encoded flag byte
+// (bit0 = write, bit1 = dependent) on a root Columns.
+func (c *Columns) setFlags(i int, flags byte) {
+	w, bit := i>>6, uint(i)&63
+	c.write[w] |= uint64(flags&flagWrite) << bit
+	c.dep[w] |= uint64(flags&flagDep>>1) << bit
 }
 
 // Grow pre-allocates capacity for n additional accesses.

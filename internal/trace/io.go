@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"mosaic/internal/binfmt"
-	"mosaic/internal/mem"
 )
 
 // Binary trace formats: generating a workload costs graph construction and
@@ -253,9 +251,26 @@ func (t *Trace) WriteToV01(w io.Writer) (int64, error) {
 }
 
 // ReadFrom deserializes a trace written by WriteTo or WriteToV01 (dispatch
-// on the magic), replacing the receiver's contents.
+// on the magic), replacing the receiver's contents. The reader's size is
+// unknown, so the columns grow incrementally rather than trusting the
+// header's count: a forged count must not trigger a giant up-front
+// allocation.
 func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	return t.readFrom(r, -1)
+}
+
+// readFrom is ReadFrom on a stream of size bytes, or of unknown size when
+// size < 0. A known size bounds the header's count: every encoded access
+// takes at least two bytes (a v02 access has a VA and a gap varint, a v01
+// record is 13 bytes), so the columns are reserved for min(count, size/2)
+// accesses up front and a forged count can reserve no more than the file
+// could hold.
+func (t *Trace) readFrom(r io.Reader, size int64) (int64, error) {
+	reserve, bufSize := uint64(1<<16), int64(1<<20)
+	if size >= 0 {
+		reserve, bufSize = uint64(size/2), min(size, bufSize)
+	}
+	br := bufio.NewReaderSize(r, int(bufSize))
 	c := binfmt.NewDecoder(br)
 	var h header
 	h.walk(c)
@@ -264,9 +279,7 @@ func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
 	}
 
 	var cols Columns
-	// Grow incrementally rather than trusting the header's count: a forged
-	// count must not trigger a giant up-front allocation.
-	cols.Grow(int(min(h.count, 1<<16)))
+	cols.Grow(int(min(h.count, reserve)))
 	var err error
 	var phases []Phase
 	if h.magic == traceMagicV02 {
@@ -292,7 +305,8 @@ func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // readV01 decodes the fixed-width record stream with one buffered manual
-// decoder instead of three reflective binary.Read calls per record.
+// decoder instead of three reflective binary.Read calls per record,
+// straight into the columns.
 func readV01(c *binfmt.Codec, cols *Columns, count uint64) error {
 	const chunk = 4096
 	buf := make([]byte, chunk*v01RecordBytes)
@@ -302,45 +316,23 @@ func readV01(c *binfmt.Codec, cols *Columns, count uint64) error {
 		if c.Raw(b); c.Err() != nil {
 			return fmt.Errorf("truncated at access %d: %w", done, c.Err())
 		}
-		for i := uint64(0); i < n; i++ {
+		lo := cols.Len()
+		vas, gaps := cols.extend(int(n))
+		for i := range vas {
 			rec := b[i*v01RecordBytes:]
-			flags := rec[12]
-			cols.Append(Access{
-				VA:    mem.Addr(binary.LittleEndian.Uint64(rec[0:8])),
-				Gap:   binary.LittleEndian.Uint32(rec[8:12]),
-				Write: flags&flagWrite != 0,
-				Dep:   flags&flagDep != 0,
-			})
+			vas[i] = binary.LittleEndian.Uint64(rec[0:8])
+			gaps[i] = binary.LittleEndian.Uint32(rec[8:12])
+			cols.setFlags(lo+i, rec[12])
 		}
 		done += n
 	}
 	return nil
 }
 
-// v02Scratch holds the column buffers one block decode fills before the
-// accesses are appended. A trace runs to thousands of blocks and concurrent
-// sweep sessions load several traces at once, so the buffers are pooled
-// rather than allocated per block (or held per reader).
-type v02Scratch struct {
-	vas  []uint64
-	gaps []uint32
-}
-
-var v02ScratchPool = sync.Pool{
-	New: func() any {
-		return &v02Scratch{
-			vas:  make([]uint64, v02BlockCap),
-			gaps: make([]uint32, v02BlockCap),
-		}
-	},
-}
-
 // readV02 decodes the block-columnar stream.
 func readV02(c *binfmt.Codec, cols *Columns, count uint64) error {
 	var head [8]byte
 	payload := make([]byte, 0, v02MaxPayload(v02BlockCap))
-	scratch := v02ScratchPool.Get().(*v02Scratch)
-	defer v02ScratchPool.Put(scratch)
 	for done := uint64(0); done < count; {
 		if c.Raw(head[:]); c.Err() != nil {
 			return fmt.Errorf("truncated block header at access %d: %w", done, c.Err())
@@ -353,14 +345,11 @@ func readV02(c *binfmt.Codec, cols *Columns, count uint64) error {
 		if int(payloadLen) > v02MaxPayload(int(n)) {
 			return fmt.Errorf("forged block payload length %d for %d accesses", payloadLen, n)
 		}
-		if cap(payload) < int(payloadLen) {
-			payload = make([]byte, payloadLen)
-		}
 		payload = payload[:payloadLen]
 		if c.Raw(payload); c.Err() != nil {
 			return fmt.Errorf("truncated block at access %d: %w", done, c.Err())
 		}
-		if err := decodeBlock(payload, cols, int(n), scratch); err != nil {
+		if err := decodeBlock(payload, cols, int(n)); err != nil {
 			return fmt.Errorf("block at access %d: %w", done, err)
 		}
 		done += uint64(n)
@@ -369,8 +358,10 @@ func readV02(c *binfmt.Codec, cols *Columns, count uint64) error {
 }
 
 // decodeBlock appends one block's n accesses from its encoded payload,
-// staging the columns in the caller's scratch buffers.
-func decodeBlock(payload []byte, cols *Columns, n int, scratch *v02Scratch) error {
+// decoding each column straight into the trace's columns. A block that
+// fails to decode leaves garbage behind, which is harmless: the whole
+// read then fails and its columns are dropped.
+func decodeBlock(payload []byte, cols *Columns, n int) error {
 	pos := 0
 	varint := func() (uint64, bool) {
 		v, w := binary.Uvarint(payload[pos:])
@@ -380,7 +371,8 @@ func decodeBlock(payload []byte, cols *Columns, n int, scratch *v02Scratch) erro
 		pos += w
 		return v, true
 	}
-	vas := scratch.vas[:n]
+	lo := cols.Len()
+	vas, gaps := cols.extend(n)
 	va, ok := varint()
 	if !ok {
 		return fmt.Errorf("bad first VA varint")
@@ -394,7 +386,6 @@ func decodeBlock(payload []byte, cols *Columns, n int, scratch *v02Scratch) erro
 		va = uint64(int64(va) + unzigzag(d))
 		vas[i] = va
 	}
-	gaps := scratch.gaps[:n]
 	for i := 0; i < n; i++ {
 		g, ok := varint()
 		if !ok || g > 1<<32-1 {
@@ -408,13 +399,7 @@ func decodeBlock(payload []byte, cols *Columns, n int, scratch *v02Scratch) erro
 	}
 	flags := payload[pos:]
 	for i := 0; i < n; i++ {
-		f := flags[i/4] >> ((i % 4) * 2)
-		cols.Append(Access{
-			VA:    mem.Addr(vas[i]),
-			Gap:   gaps[i],
-			Write: f&flagWrite != 0,
-			Dep:   f&flagDep != 0,
-		})
+		cols.setFlags(lo+i, flags[i/4]>>((i%4)*2))
 	}
 	return nil
 }
@@ -429,15 +414,21 @@ func (t *Trace) Save(path string) error {
 	})
 }
 
-// Load reads a trace from a file written by Save (either format).
+// Load reads a trace from a file written by Save (either format). The
+// file's size bounds the header's access count, so the columns are
+// reserved once and decoded into in place.
 func Load(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	var t Trace
-	if _, err := t.ReadFrom(f); err != nil {
+	if _, err := t.readFrom(f, fi.Size()); err != nil {
 		return nil, fmt.Errorf("trace: loading %s: %w", path, err)
 	}
 	return &t, nil

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mosaic/internal/mem"
@@ -136,15 +137,70 @@ func TestDecodeBlockNoAllocs(t *testing.T) {
 	const runs = 10
 	var cols Columns
 	cols.Grow((runs + 2) * v02BlockCap)
-	scratch := v02ScratchPool.Get().(*v02Scratch)
-	defer v02ScratchPool.Put(scratch)
 	allocs := testing.AllocsPerRun(runs, func() {
-		if err := decodeBlock(payload, &cols, n, scratch); err != nil {
+		if err := decodeBlock(payload, &cols, n); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("decodeBlock allocates %.1f objects per block, want 0", allocs)
+	}
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadAllocatesColumnsOnce: Load sizes the columns from the header's
+// count (bounded by the file size) and decodes into them in place, so
+// loading a long trace allocates little beyond the columns themselves
+// rather than regrowing them as it decodes.
+func TestLoadAllocatesColumnsOnce(t *testing.T) {
+	orig := randomTestTrace(11, 1<<20)
+	path := filepath.Join(t.TempDir(), "t.mostrace")
+	if err := orig.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	var got *Trace
+	var err error
+	alloc := allocatedBy(func() { got, err = Load(path) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := got.Columns()
+	if got.Len() != orig.Len() || got.At(got.Len()-1) != orig.At(orig.Len()-1) {
+		t.Fatalf("loaded %d accesses, want %d", got.Len(), orig.Len())
+	}
+	if limit := uint64(cols.Bytes()) * 13 / 10; alloc > limit {
+		t.Errorf("Load allocated %d bytes for %d bytes of columns, want at most %d", alloc, cols.Bytes(), limit)
+	}
+}
+
+// TestLoadForgedCountBoundedByFileSize: a header may claim up to 2^28
+// accesses, but a 100-byte file cannot hold them, so Load must fail
+// without reserving columns for the claimed count.
+func TestLoadForgedCountBoundedByFileSize(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(traceMagicV02[:])
+	binary.Write(&buf, binary.LittleEndian, uint16(1))
+	buf.WriteString("x")
+	binary.Write(&buf, binary.LittleEndian, uint64(maxAccesses))
+	buf.Write(make([]byte, 100-buf.Len()))
+	path := filepath.Join(t.TempDir(), "forged.mostrace")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if alloc := allocatedBy(func() { _, err = Load(path) }); alloc >= 1<<20 {
+		t.Errorf("Load of a forged 100-byte file allocated %d bytes, want under 1 MB", alloc)
+	}
+	if err == nil {
+		t.Error("forged count loaded without error")
 	}
 }
 

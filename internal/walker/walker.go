@@ -13,8 +13,7 @@ import (
 )
 
 // pwc is one fully associative page-walk cache with LRU replacement.
-// Recency is an exact linked list of entry indices (the scheme cache.Cache
-// uses), so refreshing an already-MRU key — the common case, since a walk
+// Recency is an exact linked list of entry indices, so refreshing an already-MRU key — the common case, since a walk
 // re-inserts the keys its own PWC lookup just hit — is a single compare,
 // and eviction reads the victim off the list tail.
 type pwc struct {
@@ -203,7 +202,8 @@ func (w *Walker) Walk(v mem.Addr) Result {
 	res.Size = tr.Size
 
 	// Install the non-terminal entries this walk traversed into the PWCs.
-	// The terminal entry goes to the TLB (the caller's job), not the PWC.
+	// The terminal entry belongs to the TLB, whose missed Lookup already
+	// filled it, not to the PWC.
 	leafLevel := tr.Size.Level()
 	if leafLevel < 4 {
 		w.pwcPML4.insert(uint64(v) >> 39)
