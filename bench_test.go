@@ -11,11 +11,9 @@
 package mosaic
 
 import (
-	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -743,71 +741,4 @@ func BenchmarkConvergence(b *testing.B) {
 	}
 	b.ReportMetric(e54*100, "cv_err_54_samples_%")
 	b.ReportMetric(e102*100, "cv_err_102_samples_%")
-}
-
-// --- Parallel windowed replay ---
-
-var (
-	benchWindows = flag.Int("bench-windows", 8,
-		"window count K for BenchmarkSweepQuickWindowed (1 = unwindowed baseline)")
-	benchCkptDir = flag.String("bench-checkpoint-dir", "",
-		"persistent MOSCKPT01 checkpoint cache for BenchmarkSweepQuickWindowed (default: a per-run temp dir)")
-)
-
-// BenchmarkSweepQuickWindowed is BenchmarkSweepQuick under K-way parallel
-// windowed replay. A fused replay chain is inherently serial — no other
-// mechanism in the pipeline can spread one trace replay over cores — so the
-// benchmark gives the sweep a worker budget of exactly K (Parallelism = K;
-// the runner then schedules one replay job at a time × K window workers,
-// never oversubscribing) and the -bench-windows 8 vs 1 ratio isolates the
-// within-replay parallelism that -windows adds. Speedup is bounded by the
-// host's cores.
-//
-// Trace and checkpoint caches are built by one untimed sweep first, so the
-// timed iterations measure the steady state a researcher iterates in: every
-// window boundary already checkpointed, replay fully parallel from the
-// first access. Point -bench-checkpoint-dir at a persistent directory to
-// additionally measure warm starts across process restarts.
-func BenchmarkSweepQuickWindowed(b *testing.B) {
-	k := max(1, *benchWindows)
-	var ws []workloads.Workload
-	for _, name := range []string{"gups/8GB", "spec06/mcf"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws = append(ws, w)
-	}
-	plats := []arch.Platform{arch.SandyBridge, arch.Haswell, arch.Broadwell}
-	dir := b.TempDir()
-	ckptDir := *benchCkptDir
-	if ckptDir == "" {
-		ckptDir = b.TempDir()
-	}
-	newRunner := func() *experiment.Runner {
-		r := experiment.NewRunner()
-		r.Proto = experiment.Quick
-		r.TraceDir = dir
-		r.Parallelism = k
-		r.Windows = k
-		r.CheckpointDir = ckptDir
-		return r
-	}
-	if _, err := newRunner().CollectAll(ws, plats, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dss, err := newRunner().CollectAll(ws, plats, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(dss) != len(ws)*len(plats) {
-			b.Fatalf("%d datasets, want %d", len(dss), len(ws)*len(plats))
-		}
-	}
-	b.ReportMetric(float64(k), "windows")
-	// The K>1 vs K=1 ratio is bounded by available cores; recording the
-	// count makes the published numbers comparable across hosts.
-	b.ReportMetric(float64(runtime.NumCPU()), "cores")
 }

@@ -1,5 +1,5 @@
 // Command genfuzzseeds regenerates the committed fuzz seed corpora under
-// internal/{trace,ckpt,cluster}/testdata/fuzz. The seeds are valid wire
+// internal/{trace,cluster}/testdata/fuzz. The seeds are valid wire
 // streams produced by the real encoders — plus deliberate truncations and
 // corruptions — so `go test -fuzz` starts from inputs that exercise the
 // deep decode paths instead of spending its budget rediscovering the magic
@@ -19,20 +19,16 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"mosaic/internal/cache"
-	"mosaic/internal/ckpt"
 	"mosaic/internal/cluster"
 	"mosaic/internal/pmu"
 	"mosaic/internal/sim"
 	"mosaic/internal/trace"
-	"mosaic/internal/walker"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("genfuzzseeds: ")
 	writeAll("internal/trace/testdata/fuzz/FuzzTraceRoundTrip", traceSeeds())
-	writeAll("internal/ckpt/testdata/fuzz/FuzzCheckpointRoundTrip", ckptSeeds())
 	writeAll("internal/cluster/testdata/fuzz/FuzzShardRoundTrip", shardSeeds())
 }
 
@@ -98,69 +94,6 @@ func traceSeeds() map[string][]byte {
 		"seed-v02":          v2.Bytes(),
 		"seed-phased":       vp.Bytes(),
 		"seed-phased-trunc": vp.Bytes()[:vp.Len()-7],
-	}
-}
-
-func ckptSeeds() map[string][]byte {
-	st := &ckpt.MachineState{
-		HasClock:     true,
-		Now:          1234.5,
-		MissRate:     0.25,
-		WalkCycles:   99,
-		Instructions: 4096,
-		Breakdown:    [5]float64{1, 2, 3, 4, 5},
-		WalkerFree:   []float64{10, 20},
-	}
-	st.TLB.L14K = []uint64{1, 2, 3, 4}
-	st.TLB.L2 = []uint64{5, 6}
-	st.TLB.Counts.Lookups = 400
-	st.TLB.Counts.Misses = 9
-	st.TLB.MissBySize = [4]uint64{4, 3, 2, 0}
-	st.Hier.L1.Tags = []uint32{7, 8, 9}
-	st.Hier.L2.Tags = []uint32{10}
-	st.Hier.L3.Tags = []uint32{11, 12}
-	st.Walk.PML4.Entries = 1
-	st.Walk.PML4.Keys = []uint64{0xfee}
-	st.Walk.PML4.Prev = []uint16{0}
-	st.Walk.PML4.Next = []uint16{0}
-	st.Walk.Stats.Walks = 9
-	st.Walk.Stats.WalkCycles = 99
-	var buf bytes.Buffer
-	if _, err := st.Encode(&buf, "seed/pair@plat", 42); err != nil {
-		log.Fatal(err)
-	}
-	valid := buf.Bytes()
-	badVer := append([]byte(nil), valid...)
-	badVer[8] = '9'
-
-	// A partial-simulator state: no clock section values, the walker-private
-	// ablation cache present, and every PWC populated.
-	full := &ckpt.MachineState{Metrics: [5]uint64{11, 12, 13, 14, 15}}
-	full.SumTLB.Lookups = 77
-	full.SumHier.DRAMLoads.Walker = 5
-	full.TLB.L12M = []uint64{21}
-	full.TLB.L11G = []uint64{22}
-	full.TLB.L21G = []uint64{23, 24}
-	full.Hier.L1.Tags = []uint32{31}
-	full.Hier.WalkerPrivate = &cache.CacheState{Tags: []uint32{41, 42, 43}}
-	full.Hier.Stats.L2Loads.Program = 6
-	for i, p := range []*walker.PWCState{&full.Walk.PML4, &full.Walk.PDPT, &full.Walk.PD} {
-		p.Entries = 4
-		p.Keys = []uint64{uint64(0x100 * (i + 1)), uint64(0x100*(i+1) + 1)}
-		p.Prev = []uint16{1, 0}
-		p.Next = []uint16{1, 0}
-		p.Head, p.Tail = 0, 1
-	}
-	full.Walk.Stats.Faults = 3
-	var fbuf bytes.Buffer
-	if _, err := full.Encode(&fbuf, "seed/partial@plat", 7); err != nil {
-		log.Fatal(err)
-	}
-	return map[string][]byte{
-		"seed-valid":  valid,
-		"seed-trunc":  append([]byte(nil), valid[:len(valid)/2]...),
-		"seed-badver": badVer,
-		"seed-full":   fbuf.Bytes(),
 	}
 }
 

@@ -74,11 +74,6 @@ func main() {
 		stretch = flag.Int("stretch", 1,
 			"multiply every workload's trace length (accesses) by this factor (sweep-scale traces for -sample-report; the committed numbers use 32)")
 
-		windows = flag.Int("windows", 0,
-			"parallel windowed replay: split every replay into this many chunks run concurrently (0 or 1 = off); bit-identical to unwindowed replay")
-		ckptCache = flag.String("checkpoint-cache", "",
-			"directory for caching MOSCKPT01 window-boundary checkpoints across runs (windowed replay)")
-
 		adaptive = flag.Bool("adaptive", false,
 			"plan the sweep adaptively: probe every layout cheaply, promote only high-uncertainty layouts to exact replay")
 		errorTarget = flag.Float64("error-target", 0,
@@ -155,8 +150,6 @@ func main() {
 	}
 	app.runner.TraceDir = *traceDir
 	app.runner.Sampling = buildSampling(*samplePeriod, *sampleWindow, *sampleWarmup, *samplePrologue)
-	app.runner.Windows = *windows
-	app.runner.CheckpointDir = *ckptCache
 	app.svgDir = *svgDir
 	app.stretch = max(1, *stretch)
 	var err error

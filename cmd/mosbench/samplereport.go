@@ -63,8 +63,6 @@ func (b *bench) sampleReport(s sim.Sampling, jsonOut bool) error {
 		r.Parallelism = b.runner.Parallelism
 		r.TraceDir = dir
 		r.Sampling = sampling
-		r.Windows = b.runner.Windows
-		r.CheckpointDir = b.runner.CheckpointDir
 		b.runner = r // progressLine reads coverage off the active runner
 		dss, err := r.CollectAll(b.workloads, b.platforms, b.progressLine)
 		fmt.Fprintln(b.diag)

@@ -1,6 +1,6 @@
 // Command mosvet is the repo's project-invariant static analyzer: it
 // type-checks the whole module (stdlib-only — go/parser + go/types with the
-// source importer) and enforces the determinism, locking, and checkpoint
+// source importer) and enforces the determinism, locking, and phase
 // contracts the simulation and serving tiers rest on.
 //
 // Checks (see docs/static-analysis.md for rationale and examples):
@@ -9,7 +9,6 @@
 //	maporder    no result-feeding iteration over unsorted maps
 //	floateq     no ==/!= on float operands
 //	hotpath     no defer/fmt/map-alloc/interface-boxing in //mosvet:hotpath kernels
-//	ckptfields  Snapshot writes every state field and Restore reads it back
 //	lockorder   no mutex acquisition cycles, and no blocking operation or
 //	            transitively-blocking call while a serve mutex is held
 //	phasebound  no raw trace.Phase construction outside the trace package

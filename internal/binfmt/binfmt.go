@@ -1,12 +1,12 @@
 // Package binfmt is the one binary codec behind the repo's persisted
-// formats: MOSTRC02 trace headers and phase sections, MOSCKPT01
-// checkpoints, and MOSSHRD02 shard payloads. Each format describes its
-// layout once, as a walk over its fields with a Codec; the same walk
-// encodes (the Codec appends each field) and decodes (the Codec fills
-// each field), so an encoder and decoder cannot drift apart.
+// formats: MOSTRC02 trace headers and phase sections and MOSSHRD02 shard
+// payloads. Each format describes its layout once, as a walk over its
+// fields with a Codec; the same walk encodes (the Codec appends each
+// field) and decodes (the Codec fills each field), so an encoder and
+// decoder cannot drift apart.
 //
 // The rules every format gets from here:
-//   - integers are fixed-width little-endian, floats their IEEE-754 bits;
+//   - integers are fixed-width little-endian;
 //   - every length is checked against a bound before anything is
 //     allocated, on decode and on encode alike, so the encoder never
 //     writes what the decoder would reject;
@@ -106,44 +106,8 @@ func (c *Codec) word(v *uint64, width int) {
 	}
 }
 
-// U8 walks one byte.
-func (c *Codec) U8(v *uint8) {
-	w := uint64(*v)
-	c.word(&w, 1)
-	if c.dec {
-		*v = uint8(w)
-	}
-}
-
-// U16 walks a little-endian uint16.
-func (c *Codec) U16(v *uint16) {
-	w := uint64(*v)
-	c.word(&w, 2)
-	if c.dec {
-		*v = uint16(w)
-	}
-}
-
-// U32 walks a little-endian uint32.
-func (c *Codec) U32(v *uint32) {
-	w := uint64(*v)
-	c.word(&w, 4)
-	if c.dec {
-		*v = uint32(w)
-	}
-}
-
 // U64 walks a little-endian uint64.
 func (c *Codec) U64(v *uint64) { c.word(v, 8) }
-
-// F64 walks a float64 as its IEEE-754 bit pattern.
-func (c *Codec) F64(v *float64) {
-	w := math.Float64bits(*v)
-	c.word(&w, 8)
-	if c.dec {
-		*v = math.Float64frombits(w)
-	}
-}
 
 // IntU32 walks a non-negative int as a uint32; the encoder fails when the
 // value does not fit.
@@ -162,20 +126,11 @@ func (c *Codec) IntU32(v *int) {
 // reads it. Either side fails when the length exceeds bound, so the caller
 // may allocate the returned length. It returns 0 after an error.
 func (c *Codec) Len16(n, bound int, what string) int {
-	return c.length(n, bound, 2, what)
-}
-
-// Len32 is Len16 with a uint32 prefix.
-func (c *Codec) Len32(n, bound int, what string) int {
-	return c.length(n, bound, 4, what)
-}
-
-func (c *Codec) length(n, bound, width int, what string) int {
 	w := uint64(n)
 	if !c.dec && n > bound {
 		c.Failf("%s length %d exceeds the bound %d", what, n, bound)
 	}
-	c.word(&w, width)
+	c.word(&w, 2)
 	if c.dec && c.err == nil && w > uint64(bound) {
 		c.Failf("implausible %s length %d (bound %d)", what, w, bound)
 	}
@@ -202,7 +157,7 @@ func (c *Codec) Str(s *string, bound int) {
 }
 
 // Slice walks n elements of *s with elem, where n was walked (and so
-// bounded) by a Len call. The decoder sizes *s to n, leaving it nil when n
+// bounded) by Len16. The decoder sizes *s to n, leaving it nil when n
 // is 0; the encoder fails unless len(*s) == n.
 func Slice[T any](c *Codec, s *[]T, n int, elem func(*T)) {
 	if c.err != nil {

@@ -128,7 +128,7 @@ func TestProbeMatchesReferenceLRU(t *testing.T) {
 						assoc, sets, n, blk, got, want)
 				}
 			}
-			tags := c.Snapshot().Tags
+			tags := c.tags
 			for set, l := range ref.sets {
 				want := make([]uint32, assoc)
 				for i, blk := range l {

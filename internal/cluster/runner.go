@@ -24,9 +24,6 @@ type ExperimentExecutor struct {
 	// TraceDir, when set, caches generated traces across shards and
 	// restarts (safe to share with a co-located coordinator).
 	TraceDir string
-	// CheckpointDir, when set, caches windowed-replay boundary
-	// checkpoints.
-	CheckpointDir string
 	// Parallelism bounds each shard's replay worker pool (0 = GOMAXPROCS).
 	Parallelism int
 
@@ -107,7 +104,6 @@ func (e *ExperimentExecutor) runner(proto string) (*experiment.Runner, error) {
 	r := experiment.NewRunner()
 	r.Proto = p
 	r.TraceDir = e.TraceDir
-	r.CheckpointDir = e.CheckpointDir
 	if e.Parallelism > 0 {
 		r.Parallelism = e.Parallelism
 	}

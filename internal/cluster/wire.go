@@ -27,11 +27,11 @@ import (
 
 // The MOSSHRD wire format carries shard specs (coordinator → worker) and
 // shard results (worker → coordinator) as HTTP bodies. Each payload is one
-// field walk over the internal/binfmt codec shared with MOSTRC02 and
-// MOSCKPT01 (fixed magic, version byte, bounded length fields validated
-// before allocation, little-endian fixed-width integers), sealed with a
-// trailing FNV-1a checksum over everything before it, so a truncated or
-// corrupted payload is rejected rather than half-decoded into a sweep.
+// field walk over the internal/binfmt codec shared with MOSTRC02 (fixed
+// magic, version byte, bounded length fields validated before allocation,
+// little-endian fixed-width integers), sealed with a trailing FNV-1a
+// checksum over everything before it, so a truncated or corrupted payload
+// is rejected rather than half-decoded into a sweep.
 //
 // Layout (all integers little-endian):
 //

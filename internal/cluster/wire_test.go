@@ -174,7 +174,7 @@ func mutate(b []byte, i int, v byte) []byte {
 	return out
 }
 
-// FuzzShardRoundTrip holds the codec to the MOSTRC02/MOSCKPT01 contract:
+// FuzzShardRoundTrip holds the codec to the MOSTRC02 contract:
 // arbitrary bytes either fail to decode or decode into a value whose
 // re-encoding is a fixed point; truncated and version-skewed payloads are
 // always rejected.

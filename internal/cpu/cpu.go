@@ -51,7 +51,7 @@ type Machine struct {
 	// becomes available.
 	walkerFree []float64
 
-	// The in-flight replay state, carried by checkpoints: run is the clock
+	// The in-flight replay state: run is the clock
 	// and run counters; under sampled accounting sums accumulates the
 	// measurement windows' component-stat deltas and base holds the open
 	// window's starting stats.

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"path/filepath"
 	"testing"
 
 	"mosaic/internal/arch"
@@ -135,64 +134,5 @@ func TestCollectMatchesFreshBuildReference(t *testing.T) {
 			t.Fatalf("layout %s: pipeline diverged from fresh-build reference:\npipeline %+v\nfresh    %+v",
 				lay.Name, got, want)
 		}
-	}
-}
-
-// TestCollectWindowedBitIdentical is the sweep-level golden check for
-// parallel windowed replay: a K-windowed collection — cold (building its
-// checkpoint cache) and warm (replaying in parallel from it) — must
-// reproduce the unwindowed sweep's counters bit for bit. The warm pass also
-// proves the cache actually hits: it must not add checkpoint files.
-func TestCollectWindowedBitIdentical(t *testing.T) {
-	w, err := workloads.ByName("gups/8GB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := quickRunner()
-	ref.Parallelism = 4
-	want, err := ref.Collect(w, arch.SandyBridge)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	collect := func() *Dataset {
-		r := quickRunner()
-		r.Parallelism = 4
-		r.Windows = 4
-		r.CheckpointDir = dir
-		ds, err := r.Collect(w, arch.SandyBridge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds
-	}
-	check := func(label string, ds *Dataset) {
-		t.Helper()
-		if len(ds.Counters) != len(want.Counters) || len(want.Counters) == 0 {
-			t.Fatalf("%s: counter sets sized %d and %d", label, len(ds.Counters), len(want.Counters))
-		}
-		for name, wc := range want.Counters {
-			if gc := ds.Counters[name]; gc != wc {
-				t.Fatalf("%s: layout %s differs from unwindowed sweep:\nwindowed   %+v\nunwindowed %+v",
-					label, name, gc, wc)
-			}
-		}
-	}
-	check("cold", collect())
-	files, err := filepath.Glob(filepath.Join(dir, "*.mosckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("cold windowed sweep saved no checkpoints")
-	}
-	check("warm", collect())
-	after, err := filepath.Glob(filepath.Join(dir, "*.mosckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(files) {
-		t.Fatalf("warm sweep changed the checkpoint cache: %d files, was %d", len(after), len(files))
 	}
 }

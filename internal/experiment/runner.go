@@ -26,7 +26,6 @@ import (
 
 	"mosaic/internal/arch"
 	"mosaic/internal/binfmt"
-	"mosaic/internal/ckpt"
 	"mosaic/internal/layout"
 	"mosaic/internal/libc"
 	"mosaic/internal/mem"
@@ -88,15 +87,6 @@ type Runner struct {
 	Sampling sim.Sampling
 	// Proto selects the layout protocol.
 	Proto Protocol
-	// Windows, when > 1, splits every replay's schedule into that many
-	// contiguous chunks replayed in parallel (sim.Windowed), bit-identical
-	// to unwindowed replay; window workers share the sweep's Parallelism
-	// budget rather than multiplying it.
-	Windows int
-	// CheckpointDir, when set, caches MOSCKPT01 boundary checkpoints for
-	// windowed replay, so repeated sweeps of the same configuration
-	// replay in parallel from the first re-run — across process restarts.
-	CheckpointDir string
 	// TraceDir, when set, caches generated traces (and their layout
 	// targets) on disk so repeated sessions skip workload generation.
 	TraceDir string
@@ -327,12 +317,7 @@ func (r *Runner) replayBatch(wd *WorkloadData, plat arch.Platform, lays []layout
 	var results []sim.Result
 	err := r.timing.Time(sim.StageReplay, func() error {
 		var err error
-		if r.Windows > 1 {
-			results, err = sim.RunBatchWindowed(engines, wd.Trace, s,
-				r.windowed(r.checkpointKeys(wd, plat, lays, "full", s)))
-		} else {
-			results, err = sim.RunBatch(engines, wd.Trace, s)
-		}
+		results, err = sim.RunBatch(engines, wd.Trace, s)
 		return err
 	})
 	if err != nil {
@@ -348,35 +333,6 @@ func (r *Runner) replayBatch(wd *WorkloadData, plat arch.Platform, lays []layout
 		r.totalAccesses.Add(res.TotalAccesses)
 	}
 	return results, nil
-}
-
-// checkpointKeys derives one checkpoint-stream key per engine of a replay
-// batch. A key encodes everything the cumulative machine state depends on —
-// trace identity, platform, layout configuration, engine kind and fidelity,
-// and the sampling plan — and deliberately excludes the window count and
-// position, so checkpoints are shared across -windows values.
-func (r *Runner) checkpointKeys(wd *WorkloadData, plat arch.Platform, lays []layout.Layout, kind string, s sim.Sampling) []string {
-	plan := s.Key()
-	keys := make([]string, len(lays))
-	for i, lay := range lays {
-		keys[i] = fmt.Sprintf("%s|%d|%s|%s|%s|%s",
-			wd.Trace.Name, wd.Trace.Len(), plat.Name, sim.SpaceKey(lay.Cfg), kind, plan)
-	}
-	return keys
-}
-
-// windowed assembles the sim.Windowed config for one replay batch.
-func (r *Runner) windowed(keys []string) sim.Windowed {
-	w := sim.Windowed{
-		K:       r.Windows,
-		Pool:    &r.engines,
-		Workers: r.Windows,
-	}
-	if r.CheckpointDir != "" {
-		w.Store = &ckpt.Store{Dir: r.CheckpointDir}
-		w.Keys = keys
-	}
-	return w
 }
 
 // RunLayout replays the workload's trace on the platform under one layout
@@ -412,20 +368,7 @@ func (r *Runner) PartialSimulate(wd *WorkloadData, plat arch.Platform, lay layou
 	var res sim.Result
 	err = r.timing.Time(sim.StageReplay, func() error {
 		var err error
-		if r.Windows > 1 {
-			kind := "partial"
-			if highFidelity {
-				kind = "partial-hifi"
-			}
-			var rs []sim.Result
-			rs, err = sim.RunBatchWindowed([]sim.Engine{eng}, wd.Trace, r.Sampling,
-				r.windowed(r.checkpointKeys(wd, plat, []layout.Layout{lay}, kind, r.Sampling)))
-			if err == nil {
-				res = rs[0]
-			}
-		} else {
-			res, err = eng.RunSampled(wd.Trace, r.Sampling)
-		}
+		res, err = eng.RunSampled(wd.Trace, r.Sampling)
 		return err
 	})
 	if err != nil {
@@ -752,14 +695,7 @@ func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Samp
 	for _, sp := range spans {
 		totalLayouts += len(sp.lays)
 	}
-	// Window workers share the sweep's worker budget: with K-way windowed
-	// replay each replay job fans out into up to K concurrent segment
-	// workers (sim.Windowed.Workers), so the stage claims proportionally
-	// fewer jobs at once instead of oversubscribing the machine.
 	replayWorkers := max(1, r.Parallelism)
-	if r.Windows > 1 {
-		replayWorkers = max(1, replayWorkers/r.Windows)
-	}
 	size := sim.BatchSpan(totalLayouts, replayWorkers)
 	var jobs []job
 	for i := range spans {

@@ -50,7 +50,6 @@ func DefaultConfig() *Config {
 			"internal/dbindex",
 			"internal/models",
 			"internal/stats",
-			"internal/ckpt",
 			// The planner sits on top of the core and must stay seeded:
 			// a wall-clock or global-rand read would break planned sweeps'
 			// bit-reproducibility.

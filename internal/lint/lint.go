@@ -54,7 +54,7 @@ type Package struct {
 }
 
 // Analyzer is one named check. Per-package analyzers set Run; analyzers
-// whose facts span packages (checkpoint completeness, lock ordering) set
+// whose facts span packages (lock ordering) set
 // RunModule instead and receive every package at once.
 type Analyzer struct {
 	Name      string
@@ -70,7 +70,6 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		FloatEq,
 		HotPath,
-		CkptFields,
 		LockOrder,
 		PhaseBound,
 	}
@@ -95,7 +94,7 @@ func Run(pkgs []*Package, cfg *Config) []Finding {
 }
 
 // RunInventory is Run plus the module's exemption inventory: every
-// //mosvet:ignore, ckptexempt, and timing directive found in the
+// //mosvet:ignore and timing directive found in the
 // analyzed packages, in deterministic order. The inventory is what the
 // committed suppression-audit baseline pins — a new exemption changes the
 // inventory and fails the baseline guard until it is re-generated (and
@@ -149,14 +148,13 @@ func sortFindings(out []Finding) {
 const directivePrefix = "//mosvet:"
 
 // Suppression is one exemption directive in the analyzed source: an inline
-// //mosvet:ignore, a //mosvet:ckptexempt field exclusion, or a
-// //mosvet:timing clock scope.
+// //mosvet:ignore or a //mosvet:timing clock scope.
 // The set of suppressions is the audit surface the committed baseline pins.
 type Suppression struct {
 	File      string   `json:"file"`
 	Line      int      `json:"line"`
 	Directive string   `json:"directive"`
-	Checks    []string `json:"checks,omitempty"` // ignore: checks; ckptexempt: field names
+	Checks    []string `json:"checks,omitempty"` // ignore: the suppressed checks
 	Reason    string   `json:"reason,omitempty"`
 }
 
@@ -164,14 +162,14 @@ type Suppression struct {
 // "//mosvet:" is a typo and is reported (a misspelled directive that
 // silently does nothing is worse than no directive).
 var directiveKinds = map[string]bool{
-	"ignore": true, "timing": true, "hotpath": true, "ckptexempt": true,
+	"ignore": true, "timing": true, "hotpath": true,
 }
 
 // inventoried marks the directive kinds that are exemptions from an
 // invariant (and therefore belong in the audit baseline). hotpath opts
 // *into* stricter checking, so it is not an exemption.
 var inventoried = map[string]bool{
-	"ignore": true, "timing": true, "ckptexempt": true,
+	"ignore": true, "timing": true,
 }
 
 // directives is the module-wide index of every mosvet comment directive:
@@ -232,15 +230,11 @@ func (s *directives) one(p *Package, c *ast.Comment) {
 	}
 	sup := Suppression{File: pos.Filename, Line: pos.Line, Directive: kind}
 	switch kind {
-	case "ignore", "ckptexempt":
-		noun := "a check name"
-		if kind == "ckptexempt" {
-			noun = "field names"
-		}
+	case "ignore":
 		if len(args) == 0 {
 			s.malformed = append(s.malformed, Finding{
 				Check: "mosvet", Pos: pos,
-				Message: fmt.Sprintf("mosvet:%s without %s", kind, noun),
+				Message: "mosvet:ignore without a check name",
 			})
 			return
 		}
@@ -248,7 +242,7 @@ func (s *directives) one(p *Package, c *ast.Comment) {
 		if len(args) < 2 {
 			s.malformed = append(s.malformed, Finding{
 				Check: "mosvet", Pos: pos,
-				Message: fmt.Sprintf("mosvet:%s %s without a reason — justify the suppression", kind, args[0]),
+				Message: fmt.Sprintf("mosvet:ignore %s without a reason — justify the suppression", args[0]),
 			})
 			return
 		}

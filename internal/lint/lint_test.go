@@ -75,8 +75,8 @@ func seeded(seed int64) int {
 			want: []string{"3:detclock"},
 		},
 		{
-			name: "checkpoint codec is a restricted package",
-			path: "internal/ckpt",
+			name: "planner is a restricted package",
+			path: "internal/plan",
 			src: `package p
 import "time"
 func stamp() int64 { return time.Now().UnixNano() }
@@ -346,21 +346,6 @@ func kernel(xs []int, acc []float64) {
 			wantFindings(t, analyze(t, "internal/cpu", tc.src, DefaultConfig()), tc.want...)
 		})
 	}
-	// The checkpoint codec package carries the same hotpath discipline as the
-	// replay kernels it feeds (segment kernels snapshot state mid-replay).
-	t.Run("hotpath applies in internal/ckpt", func(t *testing.T) {
-		src := `package p
-import "fmt"
-
-//mosvet:hotpath
-func encode(buf []byte) error {
-	defer func() {}()
-	return fmt.Errorf("short write: %d", len(buf))
-}
-`
-		wantFindings(t, analyze(t, "internal/ckpt", src, DefaultConfig()),
-			"6:hotpath", "7:hotpath")
-	})
 }
 
 func TestSuppression(t *testing.T) {
@@ -442,7 +427,7 @@ func TestMultiFilePackage(t *testing.T) {
 }
 
 func TestAnalyzerNamesStable(t *testing.T) {
-	want := []string{"detclock", "maporder", "floateq", "hotpath", "ckptfields", "lockorder", "phasebound"}
+	want := []string{"detclock", "maporder", "floateq", "hotpath", "lockorder", "phasebound"}
 	got := AnalyzerNames()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("analyzer set changed: got %v want %v (update docs/static-analysis.md)", got, want)

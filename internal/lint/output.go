@@ -1,5 +1,5 @@
 // The committed suppression-audit baseline. It pins the module's exemption
-// inventory — every //mosvet:ignore, ckptexempt, and timing directive — so
+// inventory — every //mosvet:ignore and timing directive — so
 // a new exemption fails CI until it is regenerated (and thereby reviewed)
 // in the same change. Entries are compared by file, directive, checks, and
 // reason; the recorded line is a navigation hint refreshed on regeneration,

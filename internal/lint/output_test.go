@@ -12,7 +12,7 @@ func sampleResult() *ModuleResult {
 		Root: "/mod",
 		Suppressions: []Suppression{
 			{File: "/mod/internal/stats/qr.go", Line: 10, Directive: "ignore", Checks: []string{"floateq"}, Reason: "singularity sentinel"},
-			{File: "/mod/internal/tlb/state.go", Line: 20, Directive: "ckptexempt", Checks: []string{"cfg"}, Reason: "constructor-owned"},
+			{File: "/mod/internal/tlb/tlb.go", Line: 20, Directive: "timing", Reason: "replay wall time"},
 		},
 	}
 }
@@ -90,29 +90,6 @@ func TestBaselineFileRoundTrip(t *testing.T) {
 // TestDirectiveGrammar: the new doc directives parse, inventory, and
 // reject missing reasons like the line-level ignore does.
 func TestDirectiveGrammar(t *testing.T) {
-	t.Run("ckptexempt without a reason is malformed", func(t *testing.T) {
-		src := `package engine
-type State struct{ A, B uint64 }
-type Box struct{ a uint64 }
-// Snapshot captures state.
-//
-//mosvet:ckptexempt B
-func (x *Box) Snapshot() State { return State{A: x.a} }
-func (x *Box) Restore(s State) { x.a = s.A }
-`
-		got := analyze(t, "internal/engine", src, ckptCfg())
-		// The malformed directive still exempts nothing, so the missing-B
-		// findings fire alongside the mosvet grammar finding.
-		found := false
-		for _, g := range got {
-			if strings.HasSuffix(g, ":mosvet") {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("reasonless ckptexempt not flagged: %v", got)
-		}
-	})
 	t.Run("unknown directive kind is flagged", func(t *testing.T) {
 		src := `package p
 //mosvet:nosuchthing whatever

@@ -69,7 +69,7 @@ type Simulator struct {
 	// cache hierarchy so the walker's loads see realistically warm/polluted
 	// caches, making C match the full machine exactly (at ~2× cost).
 	SimulateProgramCache bool
-	// metrics is the in-flight replay's accumulator, carried by checkpoints.
+	// metrics is the in-flight replay's accumulator.
 	metrics Metrics
 }
 

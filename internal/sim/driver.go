@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"mosaic/internal/ckpt"
 	"mosaic/internal/pmu"
 	"mosaic/internal/trace"
 )
@@ -24,14 +23,8 @@ type kernel interface {
 	// sampled accounting.
 	OpenWindow()
 	CloseWindow()
-	// Snapshot checkpoints the kernel, in-flight state included; Restore
-	// seeds it from such a checkpoint.
-	Snapshot() *ckpt.MachineState
-	Restore(*ckpt.MachineState) error
-	// Harvest returns the counters so far plus the walk-reference count;
-	// Lift maps a checkpoint the same way.
+	// Harvest returns the counters so far plus the walk-reference count.
 	Harvest() (pmu.Counters, uint64)
-	Lift(*ckpt.MachineState) (pmu.Counters, uint64)
 }
 
 // FuseBlock is the number of accesses the driver replays per kernel before
@@ -49,17 +42,16 @@ const FuseBlock = 262144
 // Tests lower this to force the fused path on small fixtures.
 var fuseMinBytes = 64 << 20
 
-// span is one driver call's share of a replay schedule.
+// span is the replay schedule one driver call walks.
 type span struct {
 	windows []trace.Window
-	// seeds is nil (start from the kernels' current state) or one
-	// checkpoint per kernel to resume from.
-	seeds []*ckpt.MachineState
-	// savePos lists trace positions, ascending, at which to snapshot every
-	// kernel; each must lie on or inside the windows.
+	// savePos lists trace positions, ascending, at which to harvest every
+	// kernel's cumulative counters. Each must be some window's Hi — a
+	// phase's prologue end or phase end always is — and is harvested right
+	// after that window closes; any other position is never harvested.
 	savePos []int
 	// sampled selects window-delta stat accounting: required for
-	// extrapolation and for phase-boundary snapshots, bit-identical to
+	// extrapolation and for phase-boundary harvests, bit-identical to
 	// exact counters under full coverage.
 	sampled bool
 }
@@ -71,9 +63,10 @@ type harvest struct {
 	// measurement window — the prologue stratum of a sampled replay (nil
 	// without sampled accounting).
 	pro []Result
-	// saved is indexed [savePos][kernel]; a position the windows never
-	// reach stays nil.
-	saved    [][]*ckpt.MachineState
+	// saved is indexed [savePos][kernel]: each kernel's cumulative
+	// counters at that position. A position the windows never reach stays
+	// nil.
+	saved    [][]Result
 	measured uint64 // accesses inside measurement windows
 }
 
@@ -83,22 +76,14 @@ type harvest struct {
 // Kernels share no mutable state and each sees the same windows in order,
 // so every kernel's counters are bit-identical to a solo replay.
 //
-// Because checkpoints carry cumulative clock and accumulator state, a
-// seeded span's harvest equals the whole-prefix-plus-span counters.
-//
 //mosvet:hotpath
 func drive(ks []kernel, tr *trace.Trace, sp span) (harvest, error) {
 	var out harvest
-	for k, kn := range ks {
+	for _, kn := range ks {
 		kn.Begin(sp.sampled)
-		if sp.seeds != nil {
-			if err := kn.Restore(sp.seeds[k]); err != nil {
-				return out, err
-			}
-		}
 	}
 	if len(sp.savePos) > 0 {
-		out.saved = make([][]*ckpt.MachineState, len(sp.savePos))
+		out.saved = make([][]Result, len(sp.savePos))
 	}
 	cols := tr.Columns()
 	si := 0
@@ -106,17 +91,8 @@ func drive(ks []kernel, tr *trace.Trace, sp span) (harvest, error) {
 		if w.Measure {
 			out.measured += uint64(w.Len())
 		}
-		for lo := w.Lo; lo < w.Hi; {
-			for si < len(sp.savePos) && sp.savePos[si] == lo {
-				out.saved[si] = snapshotAll(ks)
-				si++
-			}
+		for lo := w.Lo; lo < w.Hi; lo += FuseBlock {
 			hi := min(lo+FuseBlock, w.Hi)
-			if si < len(sp.savePos) && sp.savePos[si] > lo && sp.savePos[si] < hi {
-				// Split the block so the next save position lands on a
-				// block boundary.
-				hi = sp.savePos[si]
-			}
 			for _, kn := range ks {
 				if !w.Measure {
 					if err := kn.Warm(tr.Name, cols, lo, hi); err != nil {
@@ -134,15 +110,9 @@ func drive(ks []kernel, tr *trace.Trace, sp span) (harvest, error) {
 					kn.CloseWindow()
 				}
 			}
-			lo = hi
 		}
-		// A save position at this window's Hi that is not a later window's
-		// Lo (a phase boundary ending in a skip stretch, say) never lands
-		// on a block start — snapshot it here, after the window closed.
-		// State cannot change between a window's Hi and an abutting next
-		// window's Lo, so this matches the block-start snapshot exactly.
 		for si < len(sp.savePos) && sp.savePos[si] == w.Hi {
-			out.saved[si] = snapshotAll(ks)
+			out.saved[si] = harvestAll(ks)
 			si++
 		}
 		if sp.sampled && w.Measure && out.pro == nil {
@@ -151,14 +121,6 @@ func drive(ks []kernel, tr *trace.Trace, sp span) (harvest, error) {
 	}
 	out.ctrs = harvestAll(ks)
 	return out, nil
-}
-
-func snapshotAll(ks []kernel) []*ckpt.MachineState {
-	snaps := make([]*ckpt.MachineState, len(ks))
-	for k, kn := range ks {
-		snaps[k] = kn.Snapshot()
-	}
-	return snaps
 }
 
 func harvestAll(ks []kernel) []Result {
@@ -190,13 +152,13 @@ func replayFused(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error
 	windows := s.Plan().PhasedWindows(phases, n)
 	if phases != nil {
 		// Window-delta accounting even for exact plans: the phase-boundary
-		// snapshots need the component sums.
+		// harvests need the component sums.
 		metas, positions := phasedMeta(s.Plan(), phases, n)
 		out, err := drive(ks, tr, span{windows: windows, savePos: positions, sampled: true})
 		if err != nil {
 			return nil, err
 		}
-		return assemblePhased(s, metas, n, ks, snapsByPos(positions, out.saved))
+		return assemblePhased(s, metas, n, len(ks), savedByPos(positions, out.saved))
 	}
 	out, err := drive(ks, tr, span{windows: windows, sampled: s.Enabled()})
 	if err != nil {

@@ -50,8 +50,7 @@ type Result struct {
 	TotalAccesses    uint64
 	// Phases attributes the counters to the trace's regimes, in trace
 	// order, when the replayed trace carried phase markers (see phases.go).
-	// Nil for single-regime traces and for warmup-reconstructed windowed
-	// replay, which cannot place exact state at phase boundaries.
+	// Nil for single-regime traces.
 	Phases []PhaseResult
 }
 
@@ -178,22 +177,4 @@ func (p *Partial) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { retu
 func (p *Partial) kernel() kernel {
 	p.s.SimulateProgramCache = p.HighFidelity
 	return p.s
-}
-
-// clone acquires a worker-private engine matching e's kind, platform,
-// address space, and fidelity; a nil pool builds a fresh one.
-func clone(pool *Pool, e Engine) (Engine, error) {
-	if pool == nil {
-		pool = &Pool{}
-	}
-	if p, ok := e.(*Partial); ok {
-		c, err := pool.Partial(p.Platform(), p.s.Space())
-		if err != nil {
-			return nil, err
-		}
-		c.HighFidelity = p.HighFidelity
-		return c, nil
-	}
-	f := e.(*Full)
-	return pool.Full(f.Platform(), f.m.Space())
 }

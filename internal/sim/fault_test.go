@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mosaic/internal/ckpt"
 	"mosaic/internal/cpu"
 	"mosaic/internal/mem"
 	"mosaic/internal/trace"
@@ -33,10 +32,9 @@ func faultTrace(size uint64, n, bad int, phased bool) (*trace.Trace, uint64) {
 }
 
 // TestFaultTypedOnEveryPath: whatever path replays a batch — one driver
-// call per engine, fused, phased, or exact windowed resuming from cached
-// checkpoints — a fault in engine k surfaces as a *cpu.FaultError naming
-// the trace, the access index, and the faulting address, for either engine
-// kind.
+// call per engine, fused, or phased — a fault in engine k surfaces as a
+// *cpu.FaultError naming the trace, the access index, and the faulting
+// address, for either engine kind.
 func TestFaultTypedOnEveryPath(t *testing.T) {
 	const n, bad, k = 300000, 299000, 1
 	size := uint64(64 << 20)
@@ -45,26 +43,13 @@ func TestFaultTypedOnEveryPath(t *testing.T) {
 	spaces := []*mem.AddressSpace{full, half, full}
 
 	for _, kind := range []string{"full", "partial"} {
-		for _, path := range []string{"solo", "fused", "phased", "windowed"} {
+		for _, path := range []string{"solo", "fused", "phased"} {
 			t.Run(kind+"/"+path, func(t *testing.T) {
 				if path != "solo" {
 					forceFused(t)
 				}
 				tr, badVA := faultTrace(size, n, bad, path == "phased")
-				var err error
-				if path == "windowed" {
-					// Populate every boundary from a fault-free batch with
-					// the same keys, so the faulting replay resumes on
-					// pooled clones in parallel segments.
-					w := Windowed{K: 4, Store: &ckpt.Store{Dir: t.TempDir()}, Keys: windowedKeys(3, kind), Pool: &Pool{}}
-					fine := []*mem.AddressSpace{full, full, full}
-					if _, err := RunBatchWindowed(sampledTestEngines(t, kind, fine), tr, Sampling{}, w); err != nil {
-						t.Fatal(err)
-					}
-					_, err = RunBatchWindowed(sampledTestEngines(t, kind, spaces), tr, Sampling{}, w)
-				} else {
-					_, err = RunBatch(sampledTestEngines(t, kind, spaces), tr, Sampling{})
-				}
+				_, err := RunBatch(sampledTestEngines(t, kind, spaces), tr, Sampling{})
 				var fe *cpu.FaultError
 				if !errors.As(err, &fe) {
 					t.Fatalf("error %v (%T), want *cpu.FaultError", err, err)

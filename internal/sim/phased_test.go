@@ -2,9 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
-	"mosaic/internal/ckpt"
 	"mosaic/internal/mem"
 	"mosaic/internal/trace"
 )
@@ -237,52 +237,36 @@ func TestPhasedSampledEstimatesPerPhase(t *testing.T) {
 	}
 }
 
-// TestPhasedWindowedGolden: windowed phased replay — cold, warm-from-store,
-// and solo — must be bit-identical to the unwindowed phased batch, phase
-// rows included.
-func TestPhasedWindowedGolden(t *testing.T) {
-	forceFused(t)
+// TestPhasedSavesCountersOnly: phase attribution reads only counters at its
+// save positions, so a phased replay must cost about the same allocation as
+// the same accesses replayed phase-less — no copy of TLB, cache-tag, or PWC
+// state per save position.
+func TestPhasedSavesCountersOnly(t *testing.T) {
+	const budget = 64 << 10
 	size := uint64(64 << 20)
-	spaces := batchTestSpaces(t, size)
-	tr := phasedSimTrace(35, size, 600000)
+	plain, _ := faultTrace(size, 300000, -1, false)
+	phased, _ := faultTrace(size, 300000, -1, true)
+	space := buildTestSpace(t, size, mem.Page4K)
 
 	for _, kind := range []string{"full", "partial"} {
-		for _, s := range []Sampling{
-			{},
-			{Period: 65536, MeasureLen: 3072, WarmupLen: 8192, PrologueLen: 32768},
-		} {
-			label := kind + "/exact-plan"
-			if s.Enabled() {
-				label = kind + "/sampled-plan"
-			}
-			want, err := RunBatch(sampledTestEngines(t, kind, spaces), tr, s)
+		alloc := func(tr *trace.Trace) uint64 {
+			engines := sampledTestEngines(t, kind, []*mem.AddressSpace{space})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rs, err := RunBatch(engines, tr, Sampling{})
+			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			store := &ckpt.Store{Dir: t.TempDir()}
-			w := Windowed{K: 8, Store: store, Keys: windowedKeys(len(spaces), label), Pool: &Pool{}}
-
-			cold, err := RunBatchWindowed(sampledTestEngines(t, kind, spaces), tr, s, w)
-			if err != nil {
-				t.Fatal(err)
+			if want := len(tr.Phases()); len(rs[0].Phases) != want {
+				t.Fatalf("%s: %d phase rows, want %d", kind, len(rs[0].Phases), want)
 			}
-			for i := range want {
-				if !cold[i].Equal(want[i]) {
-					t.Errorf("%s engine %d: cold windowed diverged from batch\ngot  %+v\nwant %+v",
-						label, i, cold[i], want[i])
-				}
-			}
-			warm, err := RunBatchWindowed(sampledTestEngines(t, kind, spaces), tr, s, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if !warm[i].Equal(want[i]) {
-					t.Errorf("%s engine %d: warm windowed diverged from batch\ngot  %+v\nwant %+v",
-						label, i, warm[i], want[i])
-				}
-			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		base, got := alloc(plain), alloc(phased)
+		if got > base+budget {
+			t.Errorf("%s: phased replay allocated %d bytes, phase-blind %d: %d over, budget %d",
+				kind, got, base, got-base, budget)
 		}
 	}
-
 }

@@ -4,24 +4,23 @@ import (
 	"fmt"
 	"slices"
 
-	"mosaic/internal/ckpt"
 	"mosaic/internal/pmu"
 	"mosaic/internal/trace"
 )
 
 // Phased replay: a multi-phase trace (trace.Phases) carries regime markers,
-// and every replay entry point — Engine.Run/RunSampled, RunBatch,
-// RunBatchWindowed — attributes counters to each phase and, under sampling,
-// extrapolates within phase boundaries instead of across them.
+// and every replay entry point — Engine.Run/RunSampled and RunBatch —
+// attributes counters to each phase and, under sampling, extrapolates
+// within phase boundaries instead of across them.
 //
-// The mechanism is the driver's save positions: every engine is
-// snapshotted at each phase's prologue end and phase end, and because
-// checkpoint state is cumulative, the field-wise difference of consecutive
-// snapshots is exactly the phase's contribution. Replay runs under sampled
-// (window-delta) stat accounting even for exact plans so the snapshots
-// carry the component sums; with full coverage that accounting is
-// bit-identical to exact counters, so an exact phased replay's headline
-// result telescopes to the same counters a phase-blind replay produces.
+// The mechanism is the driver's save positions: every engine's cumulative
+// counters are harvested at each phase's prologue end and phase end, and
+// the field-wise difference of consecutive harvests is exactly the phase's
+// contribution. Replay runs under sampled (window-delta) stat accounting
+// even for exact plans so the harvests read the component sums; with full
+// coverage that accounting is bit-identical to exact counters, so an exact
+// phased replay's headline result telescopes to the same counters a
+// phase-blind replay produces.
 //
 // Under sampling, each phase is its own stratum set: the phased schedule
 // (SamplePlan.PhasedWindows) restarts the plan inside every phase — no
@@ -45,21 +44,21 @@ type PhaseResult struct {
 }
 
 // phaseMeta is the positional skeleton of one phase's schedule: the
-// snapshot positions and coverage the per-phase estimator needs. Purely
+// save positions and coverage the per-phase estimator needs. Purely
 // positional, so every engine of a batch shares one meta set.
 type phaseMeta struct {
 	ph trace.Phase
 	// proHi is the end of the phase's first measurement window (the phase
 	// prologue stratum); endHi is the end of the phase's last scheduled
-	// window — the cumulative state there equals the state at the phase
-	// boundary, because skipped accesses accumulate nothing.
+	// window — the cumulative counters there equal the counters at the
+	// phase boundary, because skipped accesses accumulate nothing.
 	proHi, endHi int
 	// proMeasured and measured count the prologue's and the whole phase's
 	// accesses inside measurement windows.
 	proMeasured, measured uint64
 }
 
-// phasedMeta computes each phase's snapshot positions under the plan's
+// phasedMeta computes each phase's save positions under the plan's
 // phased schedule, plus the ascending deduplicated position list to pass as
 // the driver's savePos.
 func phasedMeta(plan trace.SamplePlan, phases []trace.Phase, n int) ([]phaseMeta, []int) {
@@ -87,7 +86,7 @@ func phasedMeta(plan trace.SamplePlan, phases []trace.Phase, n int) ([]phaseMeta
 }
 
 // subResult returns a - b field-wise over the extrapolated counter set.
-// Snapshot state is cumulative, so consecutive-snapshot differences are
+// Harvested counters are cumulative, so consecutive-harvest differences are
 // phase contributions and telescope to the whole-trace totals.
 func subResult(a, b Result) Result {
 	d := counterPtrs(&a)
@@ -98,32 +97,36 @@ func subResult(a, b Result) Result {
 	return a
 }
 
-// assemblePhased turns per-position snapshots into per-engine results with
-// phase attribution: for each phase, the cumulative snapshots at its
-// prologue end and phase end are differenced against the previous phase's
-// end and extrapolated with the phase's own coverage; the headline result
-// is the sum of the per-phase estimates. Under exact replay every phase is
-// fully covered, extrapolation passes through, and the sum telescopes to
-// the exact whole-trace counters bit-identically.
-func assemblePhased(s Sampling, metas []phaseMeta, n int, ks []kernel,
-	snaps map[int][]*ckpt.MachineState) ([]Result, error) {
-	out := make([]Result, len(ks))
-	for k, kn := range ks {
-		lift := func(st *ckpt.MachineState) (r Result) {
-			r.Counters, r.WalkRefs = kn.Lift(st)
-			return r
-		}
+// addCounters accumulates src's counters into dst field-wise.
+func addCounters(dst *Result, src Result) {
+	d := counterPtrs(dst)
+	s := counterPtrs(&src)
+	for i := range d {
+		*d[i] += *s[i]
+	}
+}
+
+// assemblePhased turns the counters harvested at each save position into
+// per-engine results with phase attribution: for each phase, the cumulative
+// counters at its prologue end and phase end are differenced against the
+// previous phase's end and extrapolated with the phase's own coverage; the
+// headline result is the sum of the per-phase estimates. Under exact
+// replay every phase is fully covered, extrapolation passes through, and
+// the sum telescopes to the exact whole-trace counters bit-identically.
+func assemblePhased(s Sampling, metas []phaseMeta, n, engines int,
+	saved map[int][]Result) ([]Result, error) {
+	out := make([]Result, engines)
+	for k := range out {
 		var prev, sum Result
 		var measuredSum uint64
 		phs := make([]PhaseResult, 0, len(metas))
 		for _, pm := range metas {
-			endSnaps, proSnaps := snaps[pm.endHi], snaps[pm.proHi]
-			if endSnaps == nil || endSnaps[k] == nil || proSnaps == nil || proSnaps[k] == nil {
-				return nil, fmt.Errorf("sim: phase %q boundary (%d, %d) was not snapshotted",
+			end, pro := saved[pm.endHi], saved[pm.proHi]
+			if end == nil || pro == nil {
+				return nil, fmt.Errorf("sim: phase %q boundary (%d, %d) was not harvested",
 					pm.ph.Name, pm.proHi, pm.endHi)
 			}
-			end := lift(endSnaps[k])
-			pr := s.extrapolate(subResult(end, prev), subResult(lift(proSnaps[k]), prev),
+			pr := s.extrapolate(subResult(end[k], prev), subResult(pro[k], prev),
 				pm.proMeasured, pm.measured, uint64(pm.ph.Len()))
 			phs = append(phs, PhaseResult{
 				Name:             pm.ph.Name,
@@ -134,7 +137,7 @@ func assemblePhased(s Sampling, metas []phaseMeta, n int, ks []kernel,
 			})
 			addCounters(&sum, pr)
 			measuredSum += pm.measured
-			prev = end
+			prev = end[k]
 		}
 		sum.Phases = phs
 		if s.Enabled() {
@@ -146,13 +149,11 @@ func assemblePhased(s Sampling, metas []phaseMeta, n int, ks []kernel,
 	return out, nil
 }
 
-// snapsByPos indexes the driver's saved snapshots by position.
-func snapsByPos(positions []int, saved [][]*ckpt.MachineState) map[int][]*ckpt.MachineState {
-	m := make(map[int][]*ckpt.MachineState, len(positions))
+// savedByPos indexes the driver's harvests by save position.
+func savedByPos(positions []int, saved [][]Result) map[int][]Result {
+	m := make(map[int][]Result, len(positions))
 	for i, pos := range positions {
-		if i < len(saved) {
-			m[pos] = saved[i]
-		}
+		m[pos] = saved[i]
 	}
 	return m
 }

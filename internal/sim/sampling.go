@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"mosaic/internal/trace"
 )
 
@@ -55,14 +53,6 @@ var DefaultSampling = Sampling{Period: 65536, MeasureLen: 3072, WarmupLen: 8192,
 
 // Enabled reports whether the config actually samples.
 func (s Sampling) Enabled() bool { return s.Period > 0 }
-
-// Key renders the plan as a compact stable string ("p<period>-m<measure>-
-// w<warmup>-q<prologue>") for cache keys that must distinguish fidelities:
-// checkpoint-stream keys, shard specs, result caches. Distinct configs
-// yield distinct keys; the zero (exact) config is "p0-m0-w0-q0".
-func (s Sampling) Key() string {
-	return fmt.Sprintf("p%d-m%d-w%d-q%d", s.Period, s.MeasureLen, s.WarmupLen, s.PrologueLen)
-}
 
 // Plan converts the config to the positional schedule the replay kernels
 // iterate.

@@ -266,8 +266,15 @@ func TestLookupFillsOnMiss(t *testing.T) {
 				b.Insert(v, ps)
 			}
 		}
-		if sa, sb := a.Snapshot(), b.Snapshot(); !slices.Equal(sa.L14K, sb.L14K) || !slices.Equal(sa.L12M, sb.L12M) ||
-			!slices.Equal(sa.L11G, sb.L11G) || !slices.Equal(sa.L2, sb.L2) || !slices.Equal(sa.L21G, sb.L21G) {
+		tags := func(s *setAssoc) []uint64 {
+			if s == nil {
+				return nil
+			}
+			return s.tags
+		}
+		if !slices.Equal(tags(a.l14k), tags(b.l14k)) || !slices.Equal(tags(a.l12m), tags(b.l12m)) ||
+			!slices.Equal(tags(a.l11g), tags(b.l11g)) || !slices.Equal(tags(a.l2), tags(b.l2)) ||
+			!slices.Equal(tags(a.l21g), tags(b.l21g)) {
 			t.Errorf("%s: Insert after a Miss changed the TLB", plat.Name)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // module, so `go test ./...` (tier-1) catches invariant regressions —
 // wall-clock reads in simulation paths, unsorted map iteration feeding
 // results, raw float equality, blocking I/O under serving locks, hot-path
-// hygiene, checkpoint-contract completeness, lock ordering, and phase
+// hygiene, lock ordering, and phase
 // ownership — without waiting for the dedicated CI job. This is
 // the same load-and-analyze path `go run ./cmd/mosvet ./...` exercises.
 func TestMosvetClean(t *testing.T) {
