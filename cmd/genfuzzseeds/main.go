@@ -1,9 +1,9 @@
-// Command genfuzzseeds regenerates the committed fuzz seed corpora under
-// internal/{trace,cluster}/testdata/fuzz. The seeds are valid wire
-// streams produced by the real encoders — plus deliberate truncations and
-// corruptions — so `go test -fuzz` starts from inputs that exercise the
-// deep decode paths instead of spending its budget rediscovering the magic
-// bytes. Run it from the module root after a wire-format change:
+// Command genfuzzseeds regenerates the committed fuzz seed corpus under
+// internal/trace/testdata/fuzz. The seeds are valid trace streams produced
+// by the real encoders — plus deliberate truncations — so `go test -fuzz`
+// starts from inputs that exercise the deep decode paths instead of
+// spending its budget rediscovering the magic bytes. Run it from the
+// module root after a trace-format change:
 //
 //	go run ./cmd/genfuzzseeds
 //
@@ -19,9 +19,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"mosaic/internal/cluster"
-	"mosaic/internal/pmu"
-	"mosaic/internal/sim"
 	"mosaic/internal/trace"
 )
 
@@ -29,7 +26,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("genfuzzseeds: ")
 	writeAll("internal/trace/testdata/fuzz/FuzzTraceRoundTrip", traceSeeds())
-	writeAll("internal/cluster/testdata/fuzz/FuzzShardRoundTrip", shardSeeds())
 }
 
 // writeAll writes each named seed as one `go test fuzz v1` corpus file.
@@ -94,70 +90,5 @@ func traceSeeds() map[string][]byte {
 		"seed-v02":          v2.Bytes(),
 		"seed-phased":       vp.Bytes(),
 		"seed-phased-trunc": vp.Bytes()[:vp.Len()-7],
-	}
-}
-
-func shardSeeds() map[string][]byte {
-	spec := &cluster.ShardSpec{
-		Key:      "job-1/0-4",
-		Job:      "job-1",
-		Workload: "gups",
-		Platform: "skylake",
-		Proto:    "standard",
-		Sampling: sim.Sampling{Period: 1000, MeasureLen: 100, WarmupLen: 200},
-		Lo:       0,
-		Hi:       4,
-	}
-	specB, err := spec.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	res := &cluster.ShardResult{
-		Key: "job-1/0-4",
-		Job: "job-1",
-		Lo:  0,
-		Hi:  2,
-		Results: []cluster.LayoutResult{
-			{Layout: "4k", Result: sim.Result{Counters: pmu.Counters{H: 10, M: 2, C: 100, R: 5000}}},
-			{Layout: "2m-50", Result: sim.Result{
-				Counters:         pmu.Counters{H: 12, M: 1, C: 80, R: 4800},
-				WalkRefs:         17,
-				MeasuredAccesses: 100,
-				TotalAccesses:    1000,
-			}},
-		},
-	}
-	resB, err := res.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	phased := &cluster.ShardResult{
-		Key: "job-2/3-4",
-		Job: "job-2",
-		Lo:  3,
-		Hi:  4,
-		Results: []cluster.LayoutResult{
-			{Layout: "1g", Result: sim.Result{
-				Counters: pmu.Counters{H: 9, M: 3, C: 70, R: 4000, TLBLookups: 500},
-				Phases: []sim.PhaseResult{
-					{Name: "load", Counters: pmu.Counters{H: 4, M: 1, C: 30, R: 1500, TLBLookups: 200}, WalkRefs: 2},
-					{Name: "compact", Counters: pmu.Counters{H: 5, M: 2, C: 40, R: 2500, TLBLookups: 300},
-						MeasuredAccesses: 60, TotalAccesses: 300},
-				},
-			}},
-		},
-	}
-	phasedB, err := phased.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	corrupt := append([]byte(nil), specB...)
-	corrupt[len(corrupt)-1] ^= 0xff // break the checksum trailer
-	return map[string][]byte{
-		"seed-spec":          specB,
-		"seed-result":        resB,
-		"seed-spec-badsum":   corrupt,
-		"seed-result-trunc":  append([]byte(nil), resB[:len(resB)-9]...),
-		"seed-result-phased": phasedB,
 	}
 }

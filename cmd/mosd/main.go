@@ -10,16 +10,6 @@
 // behind ordinary infrastructure. SIGTERM and SIGINT drain gracefully:
 // in-flight requests and running jobs finish, queued jobs are canceled,
 // and the process exits 0.
-//
-// The same binary is also the sweep fleet's worker:
-//
-//	mosd -worker -join http://coordinator:7077 -tracedir ./traces
-//
-// A worker registers with a coordinator (any mosd started with -cluster),
-// leases sweep shards, executes them through the replay pipeline, and
-// streams the counters back. Results are deterministic, so the
-// coordinator's merged dataset is bit-identical to a single-node run —
-// workers add throughput, never uncertainty.
 package main
 
 import (
@@ -36,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"mosaic/internal/cluster"
 	"mosaic/internal/serve"
 	"mosaic/internal/serve/registry"
 )
@@ -52,74 +41,17 @@ func main() {
 		parallel = flag.Int("parallelism", 0, "worker goroutines inside each job (default: GOMAXPROCS)")
 		reload   = flag.Duration("reload-interval", 10*time.Second, "how often to poll the registry directory for retrained models (duration, e.g. 10s or 500ms; 0 disables)")
 		drainFor = flag.Duration("drain-timeout", 10*time.Minute, "how long shutdown waits for running jobs before canceling them (duration, e.g. 10m)")
-
-		clusterOn  = flag.Bool("cluster", false, "enable the sweep-fabric coordinator: accept worker registrations on /cluster/v1/* and shard sweep jobs across them")
-		token      = flag.String("cluster-token", os.Getenv("MOSD_CLUSTER_TOKEN"), "shared secret for /cluster/v1/* (coordinator requires it from workers; workers send it); empty disables auth — only safe on an isolated network (default $MOSD_CLUSTER_TOKEN)")
-		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "coordinator: shard lease duration; a worker silent this long loses its shard to retry")
-		shardSpan  = flag.Int("shard-layouts", 0, "coordinator: layouts per shard (0: size automatically from fleet capacity)")
-		workerMode = flag.Bool("worker", false, "run as a sweep worker instead of a daemon (requires -join)")
-		join       = flag.String("join", "", "worker: coordinator base URL to register with (e.g. http://host:7077)")
-		workerName = flag.String("worker-name", "", "worker: name reported to the coordinator (default host:pid)")
-		capacity   = flag.Int("worker-capacity", 1, "worker: shards executed concurrently")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("mosd ")
 
-	if *workerMode {
-		if err := runWorker(*join, *workerName, *traceDir, *token, *capacity, *parallel); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	var co *cluster.Coordinator
-	if *clusterOn {
-		if *token == "" {
-			log.Printf("warning: -cluster without -cluster-token; /cluster/v1/* accepts any worker — isolate the listener (see docs/cluster.md)")
-		}
-		co = cluster.NewCoordinator(cluster.CoordinatorConfig{
-			LeaseTTL:     *leaseTTL,
-			ShardLayouts: *shardSpan,
-			Token:        *token,
-		})
-	}
-	if err := run(*addr, *addrFile, *regDir, *traceDir, *workers, *queue, *parallel, *reload, *drainFor, co); err != nil {
+	if err := run(*addr, *addrFile, *regDir, *traceDir, *workers, *queue, *parallel, *reload, *drainFor); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runWorker joins a coordinator and executes leased shards until a signal
-// stops the process. Stopping is deliberately abrupt: the coordinator's
-// lease expiry re-runs whatever was in flight, deterministically.
-func runWorker(join, name, traceDir, token string, capacity, parallel int) error {
-	if join == "" {
-		return errors.New("-worker requires -join <coordinator URL>")
-	}
-	if name == "" {
-		host, _ := os.Hostname()
-		name = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	w := &cluster.Worker{
-		Name:     name,
-		Capacity: capacity,
-		Client:   cluster.NewClient(join, token),
-		Exec: &cluster.ExperimentExecutor{
-			TraceDir:    traceDir,
-			Parallelism: parallel,
-		},
-		Logf: log.Printf,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	log.Printf("worker %s joining %s (capacity %d, GOMAXPROCS=%d)", name, join, capacity, runtime.GOMAXPROCS(0))
-	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		return err
-	}
-	log.Printf("worker stopped")
-	return nil
-}
-
-func run(addr, addrFile, regDir, traceDir string, workers, queue, parallel int, reload, drainFor time.Duration, co *cluster.Coordinator) error {
+func run(addr, addrFile, regDir, traceDir string, workers, queue, parallel int, reload, drainFor time.Duration) error {
 	reg, err := registry.Open(regDir)
 	if err != nil {
 		return fmt.Errorf("opening registry: %w", err)
@@ -128,7 +60,6 @@ func run(addr, addrFile, regDir, traceDir string, workers, queue, parallel int, 
 		TraceDir:    traceDir,
 		Parallelism: parallel,
 		Registry:    reg,
-		Fabric:      co,
 	}
 	srv := serve.NewServer(serve.ServerConfig{
 		Registry:      reg,
@@ -136,7 +67,6 @@ func run(addr, addrFile, regDir, traceDir string, workers, queue, parallel int, 
 		PoolIdle:      exec.PoolIdle,
 		JobWorkers:    workers,
 		JobQueueDepth: queue,
-		Cluster:       co,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -160,12 +90,8 @@ func run(addr, addrFile, regDir, traceDir string, workers, queue, parallel int, 
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	mode := "single-node"
-	if co != nil {
-		mode = "cluster coordinator"
-	}
-	log.Printf("serving on http://%s (%s, registry %q, %d trained pairs, %d job workers, GOMAXPROCS=%d)",
-		ln.Addr(), mode, regDir, reg.Len(), workers, runtime.GOMAXPROCS(0))
+	log.Printf("serving on http://%s (registry %q, %d trained pairs, %d job workers, GOMAXPROCS=%d)",
+		ln.Addr(), regDir, reg.Len(), workers, runtime.GOMAXPROCS(0))
 
 	select {
 	case err := <-serveErr:

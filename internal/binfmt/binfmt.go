@@ -1,6 +1,5 @@
 // Package binfmt is the one binary codec behind the repo's persisted
-// formats: MOSTRC02 trace headers and phase sections and MOSSHRD02 shard
-// payloads. Each format describes its layout once, as a walk over its
+// formats: MOSTRC02 trace headers and phase sections. Each format describes its layout once, as a walk over its
 // fields with a Codec; the same walk encodes (the Codec appends each
 // field) and decodes (the Codec fills each field), so an encoder and
 // decoder cannot drift apart.
@@ -19,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Codec walks a format's fields in one direction: an encoder appends each
@@ -108,19 +106,6 @@ func (c *Codec) word(v *uint64, width int) {
 
 // U64 walks a little-endian uint64.
 func (c *Codec) U64(v *uint64) { c.word(v, 8) }
-
-// IntU32 walks a non-negative int as a uint32; the encoder fails when the
-// value does not fit.
-func (c *Codec) IntU32(v *int) {
-	if !c.dec && (*v < 0 || *v > math.MaxUint32) {
-		c.Failf("value %d outside the u32 range", *v)
-	}
-	w := uint64(*v)
-	c.word(&w, 4)
-	if c.dec {
-		*v = int(w)
-	}
-}
 
 // Len16 walks a uint16 length prefix: the encoder writes n, the decoder
 // reads it. Either side fails when the length exceeds bound, so the caller

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mosaic/internal/binfmt"
-	"mosaic/internal/cluster"
 	"mosaic/internal/mem"
 	"mosaic/internal/trace"
 )
@@ -60,34 +59,64 @@ func filled[T any](f *filler) *T {
 	return &v
 }
 
-// TestEveryFieldRoundTrips holds each format's walk to the whole of its
-// Go type: every field of ShardSpec and ShardResult (phase rows included)
-// is set, encoded, decoded, and compared. Only the values the encoders
-// validate are fixed up.
+// TestEveryFieldRoundTrips holds the MOSTRC02 walks to the whole of their
+// Go types: the header name, every access and every field of every Phase
+// is set, written, read back, and compared. Only the phase bounds, which
+// the format validates, are fixed up.
 func TestEveryFieldRoundTrips(t *testing.T) {
 	f := &filler{}
-
-	spec := filled[cluster.ShardSpec](f)
-	spec.Hi = spec.Lo + 2 // a span must be non-empty and bounded
-	b, err := spec.Encode()
-	if err != nil {
+	phases := *filled[[]trace.Phase](f)
+	for i := range phases {
+		phases[i].Lo, phases[i].Hi = 2*i, 2*i+2 // a contiguous partition of the trace
+	}
+	accesses := make([]trace.Access, 2*len(phases))
+	for i := range accesses {
+		accesses[i] = *filled[trace.Access](f)
+	}
+	want := trace.New(*filled[string](f), accesses)
+	if err := want.SetPhases(phases); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := cluster.DecodeSpec(b); err != nil || !reflect.DeepEqual(got, spec) {
-		t.Errorf("ShardSpec round trip (%v):\n got %+v\nwant %+v", err, got, spec)
-	}
-
-	res := filled[cluster.ShardResult](f)
-	res.Hi = res.Lo + len(res.Results) // one result per layout of the span
-	if len(res.Results[0].Result.Phases) == 0 {
-		t.Fatal("filler left the phase rows empty")
-	}
-	b, err = res.Encode()
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := want.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := cluster.DecodeResult(b); err != nil || !reflect.DeepEqual(got, res) {
-		t.Errorf("ShardResult round trip (%v):\n got %+v\nwant %+v", err, got, res)
+	var got trace.Trace
+	if _, err := got.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != want.Name || !reflect.DeepEqual(got.Phases(), want.Phases()) {
+		t.Errorf("header and phases round trip: got %q %+v, want %q %+v", got.Name, got.Phases(), want.Name, want.Phases())
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("round trip holds %d accesses, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.At(i) != want.At(i) {
+			t.Errorf("access %d: got %+v, want %+v", i, got.At(i), want.At(i))
+		}
+	}
+}
+
+// TestSealOpen: Open returns exactly the sealed bytes, and rejects a
+// flipped bit anywhere, a truncation, and input too short for a trailer.
+func TestSealOpen(t *testing.T) {
+	body := []byte("sealed payload")
+	sealed := binfmt.Seal(append([]byte(nil), body...))
+	if got, err := binfmt.Open(sealed); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("Open(Seal(b)) = %q, %v; want %q", got, err, body)
+	}
+	for i := range sealed {
+		bad := append([]byte(nil), sealed...)
+		bad[i] ^= 0x10
+		if _, err := binfmt.Open(bad); err == nil {
+			t.Errorf("a flipped bit in byte %d opened cleanly", i)
+		}
+	}
+	for _, n := range []int{0, 7, len(sealed) - 1} {
+		if _, err := binfmt.Open(sealed[:n]); err == nil {
+			t.Errorf("a %d-byte prefix opened cleanly", n)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // FNV1a is the repo's one 64-bit FNV-1a hash: file-name stems, stable
-// seeds, content stamps, and the shard wire's checksum.
+// seeds, content stamps, and the Seal trailer's checksum.
 func FNV1a[T ~string | ~[]byte](b T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(b); i++ {

@@ -538,7 +538,7 @@ func (r *Runner) CollectAllCtx(ctx context.Context, ws []workloads.Workload, pla
 
 	// Assemble and cache the datasets.
 	for _, pair := range pending {
-		ds, err := assemble(pair)
+		ds, err := assemble(pair.w.Name(), pair.plat.Name, pair.lays, pair.out)
 		if err != nil {
 			return nil, err
 		}
@@ -597,18 +597,10 @@ func (r *Runner) ProtocolLayouts(wd *WorkloadData, plat arch.Platform) []layout.
 	return lays
 }
 
-// assemble folds a pair's counters into a Dataset.
-func assemble(pair *pairPlan) (*Dataset, error) {
-	return Assemble(pair.w.Name(), pair.plat.Name, pair.lays, pair.out)
-}
-
-// Assemble folds per-layout replay results into a Dataset — CollectAll's
-// final stage, exported so callers that obtain results elsewhere (the
-// distributed sweep fabric merges them from worker shards) produce
-// datasets through the identical code path. lays and res correspond by
-// index and must cover the full protocol including the 1GB validation
-// point.
-func Assemble(workload, platform string, lays []layout.Layout, res []sim.Result) (*Dataset, error) {
+// assemble folds per-layout replay results into a Dataset — CollectAll's
+// final stage. lays and res correspond by index and must cover the full
+// protocol including the 1GB validation point.
+func assemble(workload, platform string, lays []layout.Layout, res []sim.Result) (*Dataset, error) {
 	if len(lays) != len(res) {
 		return nil, fmt.Errorf("experiment: assemble %s@%s: %d layouts but %d results",
 			workload, platform, len(lays), len(res))

@@ -54,22 +54,12 @@ func DefaultConfig() *Config {
 			// a wall-clock or global-rand read would break planned sweeps'
 			// bit-reproducibility.
 			"internal/plan",
-			// The sweep fabric's merge path must stay clock-free: shard
-			// decomposition and merge ordering are part of the bit-identity
-			// claim. Lease expiry and heartbeats are the annotated
-			// //mosvet:timing exceptions — they schedule work, never shape
-			// results.
-			"internal/cluster",
 		},
-		// The lock-graph scope: the coordinator's four mutexes plus the
-		// serving tier's registry/job locks are the only places where two
-		// locks can be held at once in production paths. A lock held across
-		// blocking I/O turns one slow disk or peer into a stalled
-		// /v1/predict for every client; the coordinator serves worker HTTP
-		// traffic and the merge path from one mutex, so holding it across
-		// network reads would stall the whole fleet.
+		// The lock-graph scope: the serving tier's registry and job locks
+		// are the only places where two locks can be held at once in
+		// production paths. A lock held across blocking I/O turns one slow
+		// disk into a stalled /v1/predict for every client.
 		LockOrderPackages: []string{
-			"internal/cluster",
 			"internal/serve",
 			"internal/serve/registry",
 			// Not a lock owner: scoped so that a call into

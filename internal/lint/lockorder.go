@@ -10,7 +10,7 @@ import (
 )
 
 // LockOrder builds the module-wide mutex acquisition graph over the
-// coordinator and serving packages and rejects three hazards: acquisition
+// serving packages and rejects three hazards: acquisition
 // cycles (goroutine A takes mu1→mu2 while B takes mu2→mu1 — a deadlock that
 // only fires under contention), blocking operations — file and network
 // I/O, channel sends and receives, selects without a default, HTTP calls,
@@ -22,15 +22,13 @@ import (
 // client.
 //
 // Lock identity is structural: a mutex is named by the struct field or
-// package-level variable it lives in (cluster.Coordinator.mu,
+// package-level variable it lives in (serve.JobManager.mu,
 // registry.Registry.mu). Locally-scoped mutexes cannot participate in
 // cross-function orderings and are tracked only for held-ness. Calls
-// through function values and interfaces are unresolvable and skipped —
-// the coordinator's notify-after-unlock callbacks stay out of the graph by
-// construction, which is exactly the discipline they exist to encode.
+// through function values and interfaces are unresolvable and skipped.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "reject mutex acquisition cycles and blocking operations or transitively-blocking calls under locks across the coordinator and serving packages",
+	Doc:       "reject mutex acquisition cycles and blocking operations or transitively-blocking calls under locks across the serving packages",
 	RunModule: runLockOrder,
 }
 

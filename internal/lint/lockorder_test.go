@@ -11,7 +11,7 @@ func lockOrderCfg() *Config {
 func TestLockOrder(t *testing.T) {
 	cases := []struct {
 		name string
-		src  string // synthetic internal/cluster package
+		src  string // synthetic internal/serve package
 		want []string
 	}{
 		{
@@ -147,7 +147,7 @@ func (s *S) y() {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := analyze(t, "internal/cluster", tc.src, lockOrderCfg())
+			got := analyze(t, "internal/serve", tc.src, lockOrderCfg())
 			wantFindings(t, got, tc.want...)
 		})
 	}
@@ -328,8 +328,8 @@ func ok(mu *sync.Mutex, path string) {
 	}
 }
 
-// TestLockOrderScope: the analyzer only polices the configured serving and
-// cluster packages — simulation code orders its own locks.
+// TestLockOrderScope: the analyzer only polices the configured serving
+// packages — simulation code orders its own locks.
 func TestLockOrderScope(t *testing.T) {
 	src := `package p
 import "sync"
@@ -341,28 +341,28 @@ func (s *S) y() { s.b.Lock(); s.a.Lock(); s.a.Unlock(); s.b.Unlock() }
 	wantFindings(t, got)
 }
 
-// TestLockOrderCrossPackage: acquisition edges span packages — a registry
-// method calling into cluster code under its lock contributes edges to the
-// same module-wide graph.
+// TestLockOrderCrossPackage: acquisition edges span packages — a job
+// manager method taking the registry's lock under its own contributes
+// edges to the same module-wide graph.
 func TestLockOrderCrossPackage(t *testing.T) {
 	got := analyzeModuleSrc(t, map[string]map[string]string{
-		"internal/cluster": {"fleet.go": `package cluster
-import "sync"
-type Fleet struct{ Mu sync.Mutex }
-func (f *Fleet) Tick() { f.Mu.Lock(); f.Mu.Unlock() }
-`},
 		"internal/serve/registry": {"reg.go": `package registry
+import "sync"
+type Reg struct{ Mu sync.Mutex }
+func (r *Reg) Tick() { r.Mu.Lock(); r.Mu.Unlock() }
+`},
+		"internal/serve": {"jobs.go": `package serve
 import (
 	"sync"
-	"synthetic/internal/cluster"
+	"synthetic/internal/serve/registry"
 )
-type Reg struct {
-	mu    sync.Mutex
-	fleet *cluster.Fleet
+type Jobs struct {
+	mu  sync.Mutex
+	reg *registry.Reg
 }
-func (r *Reg) a() { r.mu.Lock(); r.fleet.Mu.Lock(); r.fleet.Mu.Unlock(); r.mu.Unlock() }
-func (r *Reg) b() { r.fleet.Mu.Lock(); r.mu.Lock(); r.mu.Unlock(); r.fleet.Mu.Unlock() }
+func (j *Jobs) a() { j.mu.Lock(); j.reg.Mu.Lock(); j.reg.Mu.Unlock(); j.mu.Unlock() }
+func (j *Jobs) b() { j.reg.Mu.Lock(); j.mu.Lock(); j.mu.Unlock(); j.reg.Mu.Unlock() }
 `},
 	}, lockOrderCfg())
-	wantFindings(t, got, "internal/serve/registry/reg.go:10:lockorder")
+	wantFindings(t, got, "internal/serve/jobs.go:10:lockorder")
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"mosaic/internal/arch"
-	"mosaic/internal/cluster"
 	"mosaic/internal/experiment"
 	"mosaic/internal/plan"
 	"mosaic/internal/serve/registry"
@@ -26,11 +25,6 @@ type SweepExecutor struct {
 	Parallelism int
 	// Registry, when set, receives trained models from Train jobs.
 	Registry *registry.Registry
-	// Fabric, when set, shards sweep-mode jobs across the coordinator's
-	// registered workers; with no live workers (or for adaptive jobs,
-	// whose planner is inherently iterative) execution stays local, so a
-	// fleetless deployment behaves exactly as before.
-	Fabric *cluster.Coordinator
 
 	mu     sync.Mutex
 	active map[*experiment.Runner]struct{}
@@ -66,12 +60,9 @@ func (e *SweepExecutor) Run(ctx context.Context, spec JobSpec, onProgress func(s
 
 	var ds *experiment.Dataset
 	var adaptive *AdaptiveResult
-	switch {
-	case mode == "adaptive":
+	if mode == "adaptive" {
 		ds, adaptive, err = e.runAdaptive(ctx, r, w, plat, spec, onCurve)
-	case e.Fabric != nil && e.Fabric.LiveWorkers() > 0:
-		ds, err = e.runDistributed(ctx, r, w, plat, spec, onProgress)
-	default:
+	} else {
 		var dss []*experiment.Dataset
 		dss, err = r.CollectAllCtx(ctx, []workloads.Workload{w}, []arch.Platform{plat}, onProgress)
 		if err == nil {
@@ -94,57 +85,6 @@ func (e *SweepExecutor) Run(ctx context.Context, spec JobSpec, onProgress func(s
 	res := resultFromDataset(ds)
 	res.Adaptive = adaptive
 	return res, stages, nil
-}
-
-// runDistributed executes a sweep through the cluster fabric: plan the
-// protocol locally (cheap and deterministic — workers re-derive the same
-// layouts from the pair key), submit the layout span to the coordinator,
-// and assemble the merged per-layout results through the exact code path
-// single-node sweeps use (experiment.Assemble), so a distributed dataset
-// is bit-identical to a local one. The local runner still owns trace
-// preparation, which warms the shared TraceDir for co-located workers.
-func (e *SweepExecutor) runDistributed(ctx context.Context, r *experiment.Runner, w workloads.Workload, plat arch.Platform, spec JobSpec, onProgress func(sim.Progress)) (*experiment.Dataset, error) {
-	wd, err := r.Prepare(w)
-	if err != nil {
-		return nil, err
-	}
-	lays := r.ProtocolLayouts(wd, plat)
-	var progress func(done, total int)
-	if onProgress != nil {
-		fleet := e.Fabric.LiveWorkers()
-		progress = func(done, total int) {
-			onProgress(sim.Progress{
-				Stage:   sim.StageReplay.String(),
-				Done:    done,
-				Total:   total,
-				Workers: fleet,
-			})
-		}
-	}
-	sweep, err := e.Fabric.Submit(cluster.SweepSpec{
-		Job:      spec.Hash(),
-		Workload: spec.Workload,
-		Platform: spec.Platform,
-		Proto:    spec.Proto,
-		Sampling: spec.Sampling.toSim(),
-		Layouts:  len(lays),
-	}, progress)
-	if err != nil {
-		return nil, err
-	}
-	merged, err := sweep.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]sim.Result, len(lays))
-	for i, lr := range merged {
-		if lr.Layout != lays[i].Name {
-			return nil, fmt.Errorf("serve: distributed merge order broken at %d: worker measured %q, protocol plans %q",
-				i, lr.Layout, lays[i].Name)
-		}
-		results[i] = lr.Result
-	}
-	return experiment.Assemble(spec.Workload, spec.Platform, lays, results)
 }
 
 // runAdaptive executes an active-learning planned sweep (internal/plan):

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mosaic/internal/binfmt"
-	"mosaic/internal/cluster"
 	"mosaic/internal/experiment"
 	"mosaic/internal/plan"
 	"mosaic/internal/pmu"
@@ -252,11 +251,8 @@ type JobManager struct {
 
 	// saturation windows observed per-job wall times; RetryAfter derives
 	// overflow hints from it instead of a constant.
-	saturation cluster.Saturation
+	saturation saturation
 	workers    int
-	// fleetCapacity, when set, reports the cluster's live shard capacity
-	// so a fleet-backed deployment advertises shorter retry hints.
-	fleetCapacity func() int
 
 	// Metrics, all optional (nil-safe via setup in NewJobManager).
 	jobsTotal   *CounterVec // label: terminal state
@@ -276,9 +272,6 @@ type JobManagerConfig struct {
 	Run JobExecutor
 	// Metrics, when set, receives job counters and latency histograms.
 	Metrics *Metrics
-	// FleetCapacity, when set, reports the distributed fabric's live
-	// shard capacity for RetryAfter's drain-rate estimate.
-	FleetCapacity func() int
 }
 
 // NewJobManager starts the worker pool.
@@ -291,15 +284,14 @@ func NewJobManager(cfg JobManagerConfig) *JobManager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
-		run:           cfg.Run,
-		queue:         make(chan *Job, cfg.QueueDepth),
-		jobs:          make(map[string]*Job),
-		cache:         make(map[string]*JobResult),
-		baseCtx:       ctx,
-		stopBase:      cancel,
-		clock:         time.Now,
-		workers:       cfg.Workers,
-		fleetCapacity: cfg.FleetCapacity,
+		run:      cfg.Run,
+		queue:    make(chan *Job, cfg.QueueDepth),
+		jobs:     make(map[string]*Job),
+		cache:    make(map[string]*JobResult),
+		baseCtx:  ctx,
+		stopBase: cancel,
+		clock:    time.Now,
+		workers:  cfg.Workers,
 	}
 	mx := cfg.Metrics
 	if mx == nil {
@@ -330,20 +322,12 @@ func NewJobManager(cfg JobManagerConfig) *JobManager {
 func (m *JobManager) QueueDepth() int { return len(m.queue) }
 
 // RetryAfter derives the 429 hint from the current backlog and the
-// windowed mean job wall time (see cluster.Saturation): the expected time
-// for the backlog — queued plus running jobs — to drain one slot at the
-// deployment's capacity. Capacity is the local worker pool, or the
-// fabric's live shard capacity when that is larger. fallback answers
-// before the first job completes.
+// windowed mean job wall time (see saturation): the expected time for the
+// backlog — queued plus running jobs — to drain one slot at the local
+// job-worker count. fallback answers before the first job completes.
 func (m *JobManager) RetryAfter(fallback time.Duration) time.Duration {
-	capacity := m.workers
-	if m.fleetCapacity != nil {
-		if c := m.fleetCapacity(); c > capacity {
-			capacity = c
-		}
-	}
 	backlog := m.QueueDepth() + m.Running()
-	return m.saturation.RetryAfter(backlog, capacity, fallback)
+	return m.saturation.RetryAfter(backlog, m.workers, fallback)
 }
 
 // Submit validates the spec, consults the result cache, and enqueues. A

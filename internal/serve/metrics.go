@@ -146,30 +146,6 @@ func (v *CounterVec) write(w io.Writer) {
 	}
 }
 
-// CounterFunc samples a monotonically increasing value at scrape time —
-// for totals owned by another subsystem (the cluster coordinator's retry
-// and merge counts) that the registry reads rather than increments. It
-// renders with TYPE counter so rate() and linters treat the _total
-// series correctly.
-type CounterFunc struct {
-	name, help string
-	fn         func() float64
-}
-
-// NewCounterFunc registers a counter whose value is read at scrape time.
-// fn must be monotonic — counter semantics are the caller's contract.
-func (m *Metrics) NewCounterFunc(name, help string, fn func() float64) *CounterFunc {
-	c := &CounterFunc{name: name, help: help, fn: fn}
-	m.register(c)
-	return c
-}
-
-func (c *CounterFunc) familyName() string { return c.name }
-
-func (c *CounterFunc) write(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", c.name, c.help, c.name, c.name, formatFloat(c.fn()))
-}
-
 // GaugeFunc samples a value at scrape time — queue depth, pool occupancy.
 type GaugeFunc struct {
 	name, help string

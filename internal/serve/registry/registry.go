@@ -76,7 +76,7 @@ func key(workload, platform string) string { return workload + "@" + platform }
 
 // fileStamp detects externally changed files. (size, mtime) is the cheap
 // stat-only check, but it is racy: a rewrite in the same second that lands
-// on the same byte count — exactly what a coordinator pushing a retrained
+// on the same byte count — exactly what a trainer pushing a retrained
 // model with identical shape can produce — leaves both unchanged. So the
 // stamp also records a content hash plus when the stamp was taken: when
 // the mtime is too close to the stamp time to be conclusive (the git

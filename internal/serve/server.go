@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mosaic/internal/cluster"
 	"mosaic/internal/serve/registry"
 )
 
@@ -33,17 +32,11 @@ type ServerConfig struct {
 	JobQueueDepth int
 	// RetryAfter is the 429 hint before any job has completed; once the
 	// saturation window has observations the hint is derived from backlog
-	// × mean job wall time ÷ capacity instead (default 10s).
+	// × mean job wall time ÷ JobWorkers instead (default 10s).
 	RetryAfter time.Duration
 	// PoolIdle, when set, backs the sim-pool occupancy gauge (wire it to
 	// SweepExecutor.PoolIdle).
 	PoolIdle func() int
-	// Cluster, when set, mounts the distributed sweep fabric: the
-	// coordinator's /cluster/v1/* worker protocol, fleet gauges on
-	// /metrics, and fleet capacity in the admission model. Wire the same
-	// coordinator into SweepExecutor.Fabric so sweep jobs shard across
-	// registered workers.
-	Cluster *cluster.Coordinator
 }
 
 // Server is the daemon's HTTP surface plus its moving parts.
@@ -98,39 +91,11 @@ func NewServer(cfg ServerConfig) *Server {
 	s.batcher = NewBatcher(cfg.Registry, BatcherConfig{Metrics: s.metrics})
 
 	if cfg.Executor != nil {
-		jmCfg := JobManagerConfig{
+		s.jobs = NewJobManager(JobManagerConfig{
 			Workers:    cfg.JobWorkers,
 			QueueDepth: cfg.JobQueueDepth,
 			Run:        cfg.Executor,
 			Metrics:    s.metrics,
-		}
-		if cfg.Cluster != nil {
-			jmCfg.FleetCapacity = cfg.Cluster.Capacity
-		}
-		s.jobs = NewJobManager(jmCfg)
-	}
-
-	if cfg.Cluster != nil {
-		co := cfg.Cluster
-		s.metrics.NewGaugeFunc("mosd_cluster_workers", "Live registered sweep workers.", func() float64 {
-			return float64(co.LiveWorkers())
-		})
-		s.metrics.NewGaugeFunc("mosd_cluster_shards_pending", "Shards queued for lease.", func() float64 {
-			return float64(co.ShardsPending())
-		})
-		s.metrics.NewGaugeFunc("mosd_cluster_shards_leased", "Shards currently executing on workers.", func() float64 {
-			return float64(co.ShardsLeased())
-		})
-		s.metrics.NewCounterFunc("mosd_cluster_shards_retried_total", "Shards requeued after lease expiry or worker failure.", func() float64 {
-			return float64(co.ShardsRetried())
-		})
-		s.metrics.NewCounterFunc("mosd_cluster_merges_total", "Completed shard merges.", func() float64 {
-			merges, _ := co.MergeStats()
-			return float64(merges)
-		})
-		s.metrics.NewCounterFunc("mosd_cluster_merge_seconds_total", "Cumulative wall time spent merging shards.", func() float64 {
-			_, secs := co.MergeStats()
-			return secs
 		})
 	}
 
@@ -189,9 +154,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.cfg.Cluster != nil {
-		s.mux.Handle("/cluster/v1/", s.cfg.Cluster.Handler())
-	}
 }
 
 // count wraps a handler with its per-route request counter.
@@ -348,16 +310,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
-	body := map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":       "ok",
 		"trainedPairs": s.reg.Len(),
 		"queuedJobs":   s.queueDepth(),
 		"runningJobs":  s.runningJobs(),
-	}
-	if s.cfg.Cluster != nil {
-		body["fleetWorkers"] = s.cfg.Cluster.LiveWorkers()
-	}
-	s.writeJSON(w, http.StatusOK, body)
+	})
 }
 
 func (s *Server) queueDepth() int {

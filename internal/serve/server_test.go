@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"mosaic/internal/arch"
-	"mosaic/internal/cluster"
 	"mosaic/internal/experiment"
 	"mosaic/internal/plan"
 	"mosaic/internal/pmu"
@@ -563,82 +562,6 @@ func TestGoldenJobVsCollectAll(t *testing.T) {
 	}
 }
 
-// TestDistributedJobVsLocal: a sweep job routed through the cluster
-// fabric (coordinator + one HTTP worker) produces samples bit-identical
-// to the same job run locally — the serve-layer wiring of the fabric
-// adds transport, not noise.
-func TestDistributedJobVsLocal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real pipeline sweep")
-	}
-	traceDir := t.TempDir()
-	spec := JobSpec{Workload: "gups/8GB", Platform: "SandyBridge", Proto: "quick"}
-
-	local := &SweepExecutor{TraceDir: traceDir}
-	want, _, err := local.Run(context.Background(), spec, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	co := cluster.NewCoordinator(cluster.CoordinatorConfig{LeaseTTL: 5 * time.Second, ShardLayouts: 3})
-	ts := httptest.NewServer(co.Handler())
-	defer ts.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		(&cluster.Worker{
-			Name:     "w1",
-			Client:   cluster.NewClient(ts.URL, ""),
-			Exec:     &cluster.ExperimentExecutor{TraceDir: traceDir, Parallelism: 1},
-			IdlePoll: 20 * time.Millisecond,
-			Logf:     t.Logf,
-		}).Run(ctx)
-	}()
-	defer func() {
-		cancel()
-		<-workerDone
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for co.LiveWorkers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	var progressed atomic.Int64
-	dist := &SweepExecutor{TraceDir: traceDir, Fabric: co}
-	got, _, err := dist.Run(context.Background(), spec, func(p sim.Progress) {
-		progressed.Add(1)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if progressed.Load() == 0 {
-		t.Error("distributed run reported no progress")
-	}
-	if len(got.Samples) != len(want.Samples) {
-		t.Fatalf("distributed job produced %d samples, local %d", len(got.Samples), len(want.Samples))
-	}
-	for i, s := range got.Samples {
-		sw := want.Samples[i]
-		if s.Layout != sw.Layout ||
-			math.Float64bits(s.H) != math.Float64bits(sw.H) ||
-			math.Float64bits(s.M) != math.Float64bits(sw.M) ||
-			math.Float64bits(s.C) != math.Float64bits(sw.C) ||
-			math.Float64bits(s.R) != math.Float64bits(sw.R) {
-			t.Fatalf("sample %d differs: distributed %+v local %+v", i, s, sw)
-		}
-	}
-	if math.Float64bits(got.Sample1G.R) != math.Float64bits(want.Sample1G.R) {
-		t.Errorf("1GB sample differs: %v vs %v", got.Sample1G.R, want.Sample1G.R)
-	}
-	if got.TLBSensitive != want.TLBSensitive {
-		t.Errorf("TLBSensitive %v vs %v", got.TLBSensitive, want.TLBSensitive)
-	}
-}
-
 // TestSweepExecutorTrainServesPredict: a Train job installs models that
 // /v1/predict then serves — the full train-then-serve loop on the real
 // pipeline.
@@ -817,12 +740,6 @@ func TestRetryAfterDerivedFromSaturation(t *testing.T) {
 	}
 	if got := m.RetryAfter(10 * time.Second); got != 18*time.Second {
 		t.Fatalf("RetryAfter = %v, want 18s (backlog 3 × 6s mean ÷ 1 worker)", got)
-	}
-
-	// A live fleet drains faster: capacity max(1, 3) → 3 × 6s ÷ 3 = 6s.
-	m.fleetCapacity = func() int { return 3 }
-	if got := m.RetryAfter(10 * time.Second); got != 6*time.Second {
-		t.Fatalf("RetryAfter with fleet capacity 3 = %v, want 6s", got)
 	}
 }
 

@@ -149,8 +149,7 @@ func TestPhasedFullCoverageSampledIsExact(t *testing.T) {
 // TestPhasedFusedMatchesSolo: the fused phased batch must be bit-identical
 // to each engine replaying alone — including the phase rows — sampling on
 // and off, for batches of one kind and for a batch mixing full, partial, and
-// high-fidelity partial engines. This is the bit-identity the cluster
-// fabric's solo-vs-fleet contract inherits on phased traces.
+// high-fidelity partial engines.
 func TestPhasedFusedMatchesSolo(t *testing.T) {
 	forceFused(t)
 	size := uint64(64 << 20)

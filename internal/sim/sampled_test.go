@@ -279,13 +279,12 @@ func TestPoolCapsIdleEngines(t *testing.T) {
 	}
 }
 
-// TestSampledTraceLenPlumbing pins the window iterator entry point the
-// engines use: Columns.Windows must agree with the plan over the columns'
-// own length.
+// TestSampledTraceLenPlumbing pins the window schedule over a trace's own
+// length: every window lies inside the trace and Measured counts them.
 func TestSampledTraceLenPlumbing(t *testing.T) {
 	tr := testTrace(15, 1<<20, 5000)
 	plan := trace.SamplePlan{Period: 1000, MeasureLen: 100, WarmupLen: 50}
-	ws := tr.Columns().Windows(plan)
+	ws := plan.Windows(tr.Len())
 	if len(ws) == 0 || ws[len(ws)-1].Hi > tr.Len() {
 		t.Fatalf("windows %v out of range for %d accesses", ws, tr.Len())
 	}

@@ -122,10 +122,3 @@ func (p SamplePlan) Measured(n int) int {
 	}
 	return total
 }
-
-// Windows returns the column set's replay schedule under the plan — the
-// window iterator the replay kernels walk (a convenience over
-// plan.Windows(c.Len())).
-func (c *Columns) Windows(p SamplePlan) []Window {
-	return p.Windows(c.Len())
-}

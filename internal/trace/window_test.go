@@ -172,7 +172,8 @@ func TestColumnsWindows(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.Append(Access{VA: 0x1000})
 	}
-	ws := c.Windows(SamplePlan{Period: 25, MeasureLen: 5})
+	p := SamplePlan{Period: 25, MeasureLen: 5}
+	ws := p.Windows(c.Len())
 	checkSchedule(t, ws, 50)
 	if len(ws) != 2 || ws[0].Lo != 0 || ws[1].Lo != 25 {
 		t.Fatalf("windows = %+v", ws)

@@ -25,12 +25,12 @@ var dbindexGeometry = struct {
 	lsmRuns, lsmEntries, lsmEntry    int
 	joinBuckets, joinChain           int
 }{
-	btreeKeys:  1 << 20, // 1M keys, 512B nodes -> ~17MB tree, depth 5
-	btreeNode:  512,
-	btreeChase: 2,
-	lsmRuns:    8, // 8 x 2MB runs + 16MB output
-	lsmEntries: 1 << 15,
-	lsmEntry:   64,
+	btreeKeys:   1 << 20, // 1M keys, 512B nodes -> ~17MB tree, depth 5
+	btreeNode:   512,
+	btreeChase:  2,
+	lsmRuns:     8, // 8 x 2MB runs + 16MB output
+	lsmEntries:  1 << 15,
+	lsmEntry:    64,
 	joinBuckets: 1 << 18, // 4MB buckets + 32MB chain pool
 	joinChain:   4,
 }
