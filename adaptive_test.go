@@ -1,8 +1,8 @@
 // Top-level acceptance tests for adaptive sweep planning: on the bundled
 // workloads, the active-learning planner must buy back the full
 // 54-layout protocol's Mosmodel accuracy for a fraction of its
-// measured-access cost. This is the accuracy contract CI gates via
-// BENCH_adaptive.json: the model trained on the planned (mixed-fidelity)
+// measured-access cost. TestAdaptiveContract is the one enforcement of
+// that contract: the model trained on the planned (mixed-fidelity)
 // dataset, evaluated against the exact full-protocol samples, stays
 // within adaptiveErrSlack absolute of the full-protocol model's max
 // error while spending at most adaptiveCostCap of its accesses.
@@ -46,9 +46,8 @@ func adaptiveModelErr(t *testing.T, ds *experiment.Dataset, truth *experiment.Da
 	return stats.MaxAbsRelErr(y, yhat)
 }
 
-// TestAdaptiveContract runs the bake-off both mosbench -adaptive-report
-// and the CI gate reproduce: full exact protocol vs planned sweep, per
-// bundled workload.
+// TestAdaptiveContract runs the bake-off: full exact protocol vs planned
+// sweep, per bundled workload.
 func TestAdaptiveContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-protocol bake-off in -short mode")

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"mosaic/internal/arch"
-	"mosaic/internal/cache"
 	"mosaic/internal/cpu"
 	"mosaic/internal/experiment"
 	"mosaic/internal/libc"
@@ -26,9 +25,7 @@ import (
 	"mosaic/internal/models"
 	"mosaic/internal/mosalloc"
 	"mosaic/internal/pmu"
-	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
-	"mosaic/internal/walker"
 	"mosaic/internal/workloads"
 )
 
@@ -503,61 +500,6 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 }
 
 // --- Micro-benchmarks of the simulator's hot paths ---
-
-// BenchmarkTLBLookup measures the two-level TLB's lookup path.
-func BenchmarkTLBLookup(b *testing.B) {
-	t := tlb.New(arch.Broadwell.Scaled().TLB)
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]mem.Addr, 4096)
-	for i := range addrs {
-		addrs[i] = mem.Addr(rng.Uint64() % (64 << 20))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		va := addrs[i%len(addrs)]
-		if t.Lookup(va, mem.Page4K) == tlb.Miss {
-			t.Insert(va, mem.Page4K)
-		}
-	}
-}
-
-// BenchmarkCacheAccess measures one load through the full hierarchy.
-func BenchmarkCacheAccess(b *testing.B) {
-	h, err := cache.NewHierarchy(arch.Broadwell.Scaled())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	addrs := make([]mem.Addr, 4096)
-	for i := range addrs {
-		addrs[i] = mem.Addr(rng.Uint64() % (64 << 20))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(addrs[i%len(addrs)], false)
-	}
-}
-
-// BenchmarkPageWalk measures a full 4-level walk with PWCs.
-func BenchmarkPageWalk(b *testing.B) {
-	as, err := mem.NewAddressSpace(1 << 36)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := as.Map(mem.NewRegion(0, 64<<20), mem.Page4K); err != nil {
-		b.Fatal(err)
-	}
-	h, err := cache.NewHierarchy(arch.Broadwell.Scaled())
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := walker.New(mem.NewTranslator(as.PageTable()), h, arch.Broadwell.Scaled().PWC)
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Walk(mem.Addr(rng.Uint64() % (64 << 20)))
-	}
-}
 
 // BenchmarkMosallocAlloc measures the allocator's first-fit path.
 func BenchmarkMosallocAlloc(b *testing.B) {

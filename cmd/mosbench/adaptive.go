@@ -4,95 +4,30 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 
-	"mosaic/internal/arch"
 	"mosaic/internal/experiment"
-	"mosaic/internal/models"
 	"mosaic/internal/plan"
-	"mosaic/internal/stats"
-	"mosaic/internal/workloads"
 )
 
-// The -adaptive / -adaptive-report modes: plan sweeps with the
-// active-learning planner (internal/plan) instead of measuring the full
-// protocol at uniform fidelity, and quote the bake-off CI gates —
-// adaptive-N must buy the full protocol's Mosmodel accuracy back within
-// adaptiveErrSlack absolute at no more than adaptiveCostBound of its
-// measured accesses.
-
-// adaptiveErrSlack is the allowed absolute excess of the adaptive
-// model's max relative error over the full-protocol model's — the same
-// constant the committed TestAdaptiveContract asserts.
-const adaptiveErrSlack = 0.005
-
-// adaptiveRow is one pair's bake-off entry: the row schema of
-// BENCH_adaptive.json.
-type adaptiveRow struct {
-	Workload        string  `json:"workload"`
-	Platform        string  `json:"platform"`
-	Layouts         int     `json:"layouts"`
-	Promotions      int     `json:"promotions"`
-	FullMaxErr      float64 `json:"full_max_err"`
-	AdaptiveMaxErr  float64 `json:"adaptive_max_err"`
-	PredictedMaxErr float64 `json:"predicted_max_err"`
-	// DeltaAbs is AdaptiveMaxErr − FullMaxErr, the quantity gated
-	// against adaptiveErrSlack (negative = adaptive beat the full
-	// protocol).
-	DeltaAbs         float64 `json:"delta_abs"`
-	CostAccesses     uint64  `json:"cost_accesses"`
-	FullCostAccesses uint64  `json:"full_cost_accesses"`
-	CostRatio        float64 `json:"cost_ratio"`
-	Stopped          string  `json:"stopped"`
-	Pass             bool    `json:"pass"`
-}
-
-// mosmodelMaxErr fits Mosmodel on train's samples and scores it against
-// truth's — the bake-off's common ground truth.
-func mosmodelMaxErr(train, truth *experiment.Dataset) (float64, error) {
-	m := models.NewMosmodel()
-	if err := m.Fit(train.Samples); err != nil {
-		return 0, fmt.Errorf("fit mosmodel on %s: %w", train.Key(), err)
-	}
-	y, yhat := models.Predictions(m, truth.Samples)
-	return stats.MaxAbsRelErr(y, yhat), nil
-}
-
-// sharedTraceDir returns the runner's trace cache, creating a temporary
-// one (with its cleanup) when the flag left it empty — every bake-off
-// sweep must replay identical traces.
-func (b *bench) sharedTraceDir() (string, func(), error) {
-	if dir := b.runner.TraceDir; dir != "" {
-		return dir, func() {}, nil
-	}
-	tmp, err := os.MkdirTemp("", "mosbench-traces-")
-	if err != nil {
-		return "", nil, err
-	}
-	return tmp, func() { os.RemoveAll(tmp) }, nil
-}
-
-// planOne runs the adaptive planner for one pair on a fresh pipeline.
-func (b *bench) planOne(w workloads.Workload, plat arch.Platform, cfg plan.Config, onStep func(plan.Step)) (*experiment.Dataset, *plan.Report, error) {
-	r := experiment.NewRunner()
-	r.Proto = b.runner.Proto
-	r.Parallelism = b.runner.Parallelism
-	r.TraceDir = b.runner.TraceDir
-	return plan.Adaptive(context.Background(), r, w, plat, cfg, onStep, nil)
-}
-
 // adaptiveRun is the -adaptive mode: plan every selected pair's sweep
-// and report how the budget was spent — the error-vs-cost curve, the
-// stop reason, and the cost split. With jsonOut, one row per pair
-// including the curve.
+// with the active-learning planner (internal/plan) and report how the
+// budget was spent — the error-vs-cost curve, the stop reason, and the
+// cost split. With jsonOut, one row per pair including the curve. The
+// planner's accuracy/cost contract is enforced by the root package's
+// TestAdaptiveContract.
 func (b *bench) adaptiveRun(cfg plan.Config, jsonOut bool) error {
-	dir, cleanup, err := b.sharedTraceDir()
-	if err != nil {
-		return err
+	// Every pair plans on a fresh pipeline; a shared trace cache lets them
+	// reuse the traces generated once.
+	dir := b.runner.TraceDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "mosbench-traces-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
 	}
-	defer cleanup()
-	b.runner.TraceDir = dir
 
 	type row struct {
 		Workload        string      `json:"workload"`
@@ -108,7 +43,11 @@ func (b *bench) adaptiveRun(cfg plan.Config, jsonOut bool) error {
 	for _, w := range b.workloads {
 		for _, p := range b.platforms {
 			fmt.Fprintf(b.diag, "adaptive: planning %s on %s\n", w.Name(), p.Name)
-			_, rep, err := b.planOne(w, p, cfg, nil)
+			r := experiment.NewRunner()
+			r.Proto = b.runner.Proto
+			r.Parallelism = b.runner.Parallelism
+			r.TraceDir = dir
+			_, rep, err := plan.Adaptive(context.Background(), r, w, p, cfg, nil, nil)
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", w.Name(), p.Name, err)
 			}
@@ -152,91 +91,4 @@ func pctOrDash(v float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.3f%%", 100*v)
-}
-
-// adaptiveReport is the -adaptive-report mode: the full-protocol vs
-// adaptive bake-off behind the CI gate. Each selected pair is measured
-// twice — the complete protocol at exact fidelity, then the planned
-// sweep — and both models are scored against the exact samples. With
-// jsonOut the rows become BENCH_adaptive.json. A contract violation
-// (excess error or cost on any pair) is a nonzero exit.
-func (b *bench) adaptiveReport(cfg plan.Config, jsonOut bool) error {
-	dir, cleanup, err := b.sharedTraceDir()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	b.runner.TraceDir = dir
-
-	var rows []adaptiveRow
-	failed := 0
-	for _, w := range b.workloads {
-		for _, p := range b.platforms {
-			fmt.Fprintf(b.diag, "adaptive-report: full exact protocol, %s on %s\n", w.Name(), p.Name)
-			full := experiment.NewRunner()
-			full.Proto = b.runner.Proto
-			full.Parallelism = b.runner.Parallelism
-			full.TraceDir = dir
-			truth, err := full.Collect(w, p)
-			if err != nil {
-				return fmt.Errorf("%s on %s: full protocol: %w", w.Name(), p.Name, err)
-			}
-			fullErr, err := mosmodelMaxErr(truth, truth)
-			if err != nil {
-				return err
-			}
-
-			fmt.Fprintf(b.diag, "adaptive-report: planned sweep, %s on %s\n", w.Name(), p.Name)
-			ds, rep, err := b.planOne(w, p, cfg, nil)
-			if err != nil {
-				return fmt.Errorf("%s on %s: planned sweep: %w", w.Name(), p.Name, err)
-			}
-			adErr, err := mosmodelMaxErr(ds, truth)
-			if err != nil {
-				return err
-			}
-
-			row := adaptiveRow{
-				Workload: w.Name(), Platform: p.Name,
-				Layouts: len(rep.Points), Promotions: rep.Promotions,
-				FullMaxErr: fullErr, AdaptiveMaxErr: adErr,
-				PredictedMaxErr: rep.PredictedMaxErr,
-				DeltaAbs:        adErr - fullErr,
-				CostAccesses:    rep.CostAccesses, FullCostAccesses: rep.FullCostAccesses,
-				CostRatio: rep.CostRatio(),
-				Stopped:   rep.Stopped,
-			}
-			row.Pass = !math.IsNaN(adErr) &&
-				row.DeltaAbs <= adaptiveErrSlack &&
-				row.CostRatio <= adaptiveCostBound
-			if !row.Pass {
-				failed++
-			}
-			rows = append(rows, row)
-		}
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(b.out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(b.out, "Adaptive bake-off: full exact protocol vs planned sweep (slack %.1f%% abs, cost cap %.3f)\n",
-			100*adaptiveErrSlack, adaptiveCostBound)
-		for _, r := range rows {
-			verdict := "PASS"
-			if !r.Pass {
-				verdict = "FAIL"
-			}
-			fmt.Fprintf(b.out, "  %-28s full %.3f%%  adaptive %.3f%% (Δ %+.3f%%)  cost %.3f  %d/%d exact  %s\n",
-				r.Workload+"@"+r.Platform, 100*r.FullMaxErr, 100*r.AdaptiveMaxErr,
-				100*r.DeltaAbs, r.CostRatio, r.Promotions, r.Layouts, verdict)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("adaptive-report: %d of %d pair(s) violate the accuracy/cost contract", failed, len(rows))
-	}
-	return nil
 }

@@ -13,12 +13,15 @@
 //	mosbench -workloads a,b   # restrict the workload set
 //	mosbench -platforms x,y   # restrict the platform set
 //	mosbench -sample-period N # sampled replay: measure N/16 accesses per N
-//	mosbench -sample-report   # sampled vs. exact: speedup + max rel. error
-//	mosbench -phase-report    # per-phase sampled vs. exact error (dbindex)
 //	mosbench -adaptive        # active-learning sweep: probe cheap, promote
 //	                          # high-uncertainty layouts to exact replay
-//	mosbench -adaptive-report # full protocol vs adaptive plan bake-off
-//	mosbench -history-svg f   # render the benchmark ledger as an SVG chart
+//
+// The sampled-replay and adaptive-sweep accuracy contracts are enforced by
+// the root package's tests, not by mosbench:
+//
+//	go test -v -run TestSampledReplayAccuracy .
+//	go test -v -run TestPhasedSampledAccuracy .
+//	go test -v -run TestAdaptiveContract .
 package main
 
 import (
@@ -67,12 +70,6 @@ func main() {
 			"sampled replay: functional-warmup accesses before each window (default: the window length)")
 		samplePrologue = flag.Int("sample-prologue", -1,
 			"sampled replay: exactly-measured opening accesses, kept out of the extrapolation (default: period/2)")
-		sampleRpt = flag.Bool("sample-report", false,
-			"run the sweep exact and sampled, report replay speedup and max per-counter relative error (with -json: machine-readable)")
-		phaseRpt = flag.Bool("phase-report", false,
-			"run phased workloads (default: the dbindex suite) exact and sampled, check each phase against the max(1%, 8/sqrt(events)) contract (with -json: BENCH_phases.json shape); exits nonzero on breach")
-		stretch = flag.Int("stretch", 1,
-			"multiply every workload's trace length (accesses) by this factor (sweep-scale traces for -sample-report; the committed numbers use 32)")
 
 		adaptive = flag.Bool("adaptive", false,
 			"plan the sweep adaptively: probe every layout cheaply, promote only high-uncertainty layouts to exact replay")
@@ -80,39 +77,8 @@ func main() {
 			"adaptive: stop promoting once the predicted max error falls to this fraction (0 = spend the whole budget)")
 		budget = flag.Int("budget", 0,
 			"adaptive: max exact layout measurements, anchors included (0 = one fifth of the protocol)")
-		adaptiveRpt = flag.Bool("adaptive-report", false,
-			"bake-off: full exact protocol vs adaptive plan per pair (with -json: BENCH_adaptive.json rows); exits nonzero when the accuracy/cost contract fails")
-
-		historyPath = flag.String("history", "BENCH_history.json",
-			"path of the append-only per-PR benchmark ledger")
-		appendRow = flag.String("append-row", "",
-			"append this JSON benchmark row to -history and exit")
-		checkReg = flag.Bool("check-regression", false,
-			"gate the last -history row against the previous one (>10% slowdown of a tracked metric fails) and exit")
-		historySVG = flag.String("history-svg", "",
-			"render the -history ledger as a trajectory SVG chart to this path and exit")
 	)
 	flag.Parse()
-
-	// The ledger modes run and exit before any sweep machinery spins up.
-	if *appendRow != "" {
-		if err := runAppendRow(*historyPath, *appendRow, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *checkReg {
-		if err := runCheckRegression(*historyPath, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *historySVG != "" {
-		if err := runHistorySVG(*historyPath, *historySVG, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -151,18 +117,9 @@ func main() {
 	app.runner.TraceDir = *traceDir
 	app.runner.Sampling = buildSampling(*samplePeriod, *sampleWindow, *sampleWarmup, *samplePrologue)
 	app.svgDir = *svgDir
-	app.stretch = max(1, *stretch)
 	var err error
 	if app.workloads, err = selectWorkloads(*wlFlag); err != nil {
 		fatal(err)
-	}
-	if *phaseRpt && *wlFlag == "" {
-		// The per-phase contract needs phased traces; the dbindex suite is
-		// the bundled phased set.
-		app.workloads = workloads.DBIndex()
-	}
-	for i, w := range app.workloads {
-		app.workloads[i] = workloads.Stretched(w, app.stretch)
 	}
 	if app.platforms, err = selectPlatforms(*platFlag); err != nil {
 		fatal(err)
@@ -175,14 +132,8 @@ func main() {
 		ProbeSampling: app.runner.Sampling,
 	}
 	switch {
-	case *adaptiveRpt:
-		err = app.adaptiveReport(planCfg, *jsonFlag)
 	case *adaptive:
 		err = app.adaptiveRun(planCfg, *jsonFlag)
-	case *sampleRpt:
-		err = app.sampleReport(app.runner.Sampling, *jsonFlag)
-	case *phaseRpt:
-		err = app.phaseReport(app.runner.Sampling, *jsonFlag)
 	case *jsonFlag:
 		err = app.exportJSON()
 	case *allFlag:
@@ -264,7 +215,6 @@ type bench struct {
 	platforms []arch.Platform
 	collected []*experiment.Dataset
 	svgDir    string
-	stretch   int
 	// out receives results (tables, charts, JSON); diag receives progress
 	// lines and stage summaries. main wires them to stdout/stderr, so
 	// `mosbench -json > data.json` stays parseable no matter how chatty the

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -32,7 +30,6 @@ func quickBench(t *testing.T) (*bench, *bytes.Buffer, *bytes.Buffer) {
 		diag:      diag,
 	}
 	b.runner.Proto = experiment.Quick
-	b.stretch = 1
 	return b, out, diag
 }
 
@@ -80,135 +77,6 @@ func TestFigureOutputSplit(t *testing.T) {
 	}
 	if !strings.Contains(diag.String(), "stage ") {
 		t.Errorf("stage-time summary missing from diag: %q", diag.String())
-	}
-}
-
-// TestCheckRegressionGates exercises the pure gate logic: direction-aware
-// 10% tolerances, the absolute accuracy-contract bound, and the skip rules
-// for unmeasured metrics and core-count mismatches.
-func TestCheckRegressionGates(t *testing.T) {
-	base := benchRow{PR: 5, Cores: 8, SweepMs: 1000, SampledSpeedup: 10, WorstSigErr: 0.004, WindowedSpeedup: 3.0}
-	wide := benchRow{PR: 7, Cores: 8, TraceLoadMs: 50, PredictP99Ms: 10, AdaptiveCostRatio: 0.29}
-	cases := []struct {
-		name string
-		rows []benchRow
-		want int
-	}{
-		{"empty history", nil, 0},
-		{"single clean row", []benchRow{base}, 0},
-		{"identical rows pass", []benchRow{base, {PR: 6, Cores: 8, SweepMs: 1000, SampledSpeedup: 10, WorstSigErr: 0.004, WindowedSpeedup: 3.0}}, 0},
-		{"within tolerance passes", []benchRow{base, {PR: 6, Cores: 8, SweepMs: 1090, SampledSpeedup: 9.1, WindowedSpeedup: 2.8}}, 0},
-		{"sweep slowdown fails", []benchRow{base, {PR: 6, Cores: 8, SweepMs: 1200}}, 1},
-		{"sampled speedup loss fails", []benchRow{base, {PR: 6, Cores: 8, SweepMs: 1000, SampledSpeedup: 8.5}}, 1},
-		{"windowed speedup loss fails", []benchRow{base, {PR: 6, Cores: 8, SweepMs: 1000, WindowedSpeedup: 2.0}}, 1},
-		{"windowed loss on different cores is skipped", []benchRow{base, {PR: 6, Cores: 1, SweepMs: 1000, WindowedSpeedup: 1.0}}, 0},
-		{"accuracy contract is absolute", []benchRow{base, {PR: 6, Cores: 8, SweepMs: 1000, WorstSigErr: 0.02}}, 1},
-		{"unmeasured metrics are skipped", []benchRow{base, {PR: 6, Cores: 8}}, 0},
-		{"multiple regressions all reported", []benchRow{base, {PR: 6, Cores: 8, SweepMs: 2000, SampledSpeedup: 5, WorstSigErr: 0.05, WindowedSpeedup: 1.0}}, 4},
-		{"only last pair gates", []benchRow{{PR: 4, Cores: 8, SweepMs: 100}, base, {PR: 6, Cores: 8, SweepMs: 1000}}, 0},
-		{"trace load slowdown fails", []benchRow{wide, {PR: 8, Cores: 8, TraceLoadMs: 56}}, 1},
-		{"predict p99 slowdown fails", []benchRow{wide, {PR: 8, Cores: 8, PredictP99Ms: 12}}, 1},
-		{"new latency metrics within tolerance pass", []benchRow{wide, {PR: 8, Cores: 8, TraceLoadMs: 54, PredictP99Ms: 10.9}}, 0},
-		{"new metrics absent in previous row are skipped", []benchRow{base, {PR: 8, Cores: 8, TraceLoadMs: 999, PredictP99Ms: 999}}, 0},
-		{"adaptive cost contract is absolute", []benchRow{wide, {PR: 8, Cores: 8, AdaptiveCostRatio: 0.4}}, 1},
-		{"adaptive cost within contract passes", []benchRow{wide, {PR: 8, Cores: 8, AdaptiveCostRatio: 0.3}}, 0},
-		{"phase error contract is absolute", []benchRow{wide, {PR: 9, Cores: 8, PhaseMaxErr: 1.2}}, 1},
-		{"phase error within contract passes", []benchRow{wide, {PR: 9, Cores: 8, PhaseMaxErr: 0.98}}, 0},
-		{"cluster speedup loss fails", []benchRow{{PR: 7, Cores: 8, ClusterSpeedup: 1.8}, {PR: 8, Cores: 8, ClusterSpeedup: 1.5}}, 1},
-		{"cluster speedup loss on different cores is skipped", []benchRow{{PR: 7, Cores: 8, ClusterSpeedup: 1.8}, {PR: 8, Cores: 1, ClusterSpeedup: 0.9}}, 0},
-		{"cluster speedup within tolerance passes", []benchRow{{PR: 7, Cores: 8, ClusterSpeedup: 1.8}, {PR: 8, Cores: 8, ClusterSpeedup: 1.7}}, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := checkRegression(tc.rows)
-			if len(got) != tc.want {
-				t.Errorf("%d violations %v, want %d", len(got), got, tc.want)
-			}
-		})
-	}
-}
-
-// TestHistoryAppendRoundTrip: the ledger is append-only, atomic, and
-// readable back; -append-row rejects malformed rows.
-func TestHistoryAppendRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_history.json")
-	var out bytes.Buffer
-	if err := runAppendRow(path, `{"pr": 1, "cores": 8, "sweep_ms": 1500}`, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := runAppendRow(path, `{"pr": 2, "cores": 8, "sweep_ms": 1400, "sampled_speedup": 9.5, "trace_load_ms": 42.5, "predict_p99_ms": 8.1, "adaptive_cost_ratio": 0.29}`, &out); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := loadHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].PR != 1 || rows[1].SampledSpeedup != 9.5 {
-		t.Fatalf("history after two appends: %+v", rows)
-	}
-	if rows[1].TraceLoadMs != 42.5 || rows[1].PredictP99Ms != 8.1 || rows[1].AdaptiveCostRatio != 0.29 {
-		t.Fatalf("new ledger columns did not round-trip: %+v", rows[1])
-	}
-	if err := runCheckRegression(path, &out); err != nil {
-		t.Fatalf("clean history gated: %v", err)
-	}
-
-	if err := runAppendRow(path, `{"sweep_ms": 1}`, &out); err == nil {
-		t.Error("row without pr accepted")
-	}
-	if err := runAppendRow(path, `{"pr": 3, "bogus": 1}`, &out); err == nil {
-		t.Error("row with unknown field accepted")
-	}
-	if rows, _ = loadHistory(path); len(rows) != 2 {
-		t.Fatalf("rejected rows mutated the ledger: %+v", rows)
-	}
-
-	// A regressing row makes the gate fail.
-	if err := runAppendRow(path, `{"pr": 3, "cores": 8, "sweep_ms": 2800}`, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := runCheckRegression(path, &out); err == nil {
-		t.Fatal("2× sweep slowdown passed the regression gate")
-	}
-}
-
-// TestHistorySVG: the -history-svg mode renders the ledger into a
-// well-formed chart with one panel per measured metric, and refuses an
-// empty ledger.
-func TestHistorySVG(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_history.json")
-	var out bytes.Buffer
-	for _, row := range []string{
-		`{"pr": 1, "cores": 8, "sweep_ms": 1500}`,
-		`{"pr": 2, "cores": 8, "sweep_ms": 1400, "sampled_speedup": 9.5}`,
-		`{"pr": 3, "cores": 8, "sweep_ms": 1300, "sampled_speedup": 9.8, "adaptive_cost_ratio": 0.29}`,
-	} {
-		if err := runAppendRow(path, row, &out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	svgPath := filepath.Join(dir, "trajectory.svg")
-	if err := runHistorySVG(path, svgPath, &out); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(svgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svg := string(raw)
-	for _, want := range []string{"quick sweep wall time", "sampled replay speedup", "adaptive sweep cost ratio", "PR 1", "PR 3", "</svg>"} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("trajectory SVG lacks %q", want)
-		}
-	}
-	// Metrics never measured get no panel.
-	if strings.Contains(svg, "predict p99") || strings.Contains(svg, "NaN") {
-		t.Errorf("trajectory SVG renders unmeasured metrics or NaN: %.200s", svg)
-	}
-
-	if err := runHistorySVG(filepath.Join(dir, "missing.json"), svgPath, &out); err == nil {
-		t.Error("empty ledger rendered without error")
 	}
 }
 

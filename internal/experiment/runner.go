@@ -640,7 +640,7 @@ func assemble(workload, platform string, lays []layout.Layout, res []sim.Result)
 	return ds, nil
 }
 
-// MeasureLayouts replays an arbitrary set of a pair's layouts at an
+// measureLayouts replays an arbitrary set of a pair's layouts at an
 // explicit sampling fidelity (zero value = exact), independent of the
 // runner's Sampling field, and returns the results in layout order. It is
 // CollectAll's replay stage over a caller-chosen layout set: fused batches
@@ -648,7 +648,7 @@ func assemble(workload, platform string, lays []layout.Layout, res []sim.Result)
 // adaptive planner uses it to mix cheap probe replays and exact
 // promotions within one sweep. onProgress, when non-nil, receives replay
 // progress reports.
-func (r *Runner) MeasureLayouts(ctx context.Context, wd *WorkloadData, plat arch.Platform, lays []layout.Layout, s sim.Sampling, onProgress func(sim.Progress)) ([]sim.Result, error) {
+func (r *Runner) measureLayouts(ctx context.Context, wd *WorkloadData, plat arch.Platform, lays []layout.Layout, s sim.Sampling, onProgress func(sim.Progress)) ([]sim.Result, error) {
 	if len(lays) == 0 {
 		return nil, nil
 	}
@@ -753,7 +753,7 @@ type PairMeasurer struct {
 // Measure replays lays at sampling fidelity s and returns the results in
 // layout order.
 func (p *PairMeasurer) Measure(ctx context.Context, lays []layout.Layout, s sim.Sampling) ([]sim.Result, error) {
-	return p.R.MeasureLayouts(ctx, p.WD, p.Plat, lays, s, p.OnProgress)
+	return p.R.measureLayouts(ctx, p.WD, p.Plat, lays, s, p.OnProgress)
 }
 
 // TraceLen is the pair's trace length in accesses — the cost of one exact

@@ -200,41 +200,3 @@ func TestSVGBars(t *testing.T) {
 		t.Error("zero-value bars not an SVG")
 	}
 }
-
-func TestSVGTrajectory(t *testing.T) {
-	series := []TrajectorySeries{
-		{Name: "quick sweep wall time", Unit: "ms", Points: []TrajectoryPoint{
-			{PR: 1, Value: 1500}, {PR: 2, Value: 1400}, {PR: 3, Value: 1350},
-		}},
-		{Name: "adaptive sweep cost ratio", Unit: "", Points: []TrajectoryPoint{
-			{PR: 3, Value: 0.29},
-		}},
-		{Name: "never measured", Unit: "x"},
-	}
-	out := SVGTrajectory("mosaic performance trajectory", series, 760)
-	for _, want := range []string{
-		"<svg", "</svg>", "mosaic performance trajectory",
-		"quick sweep wall time", "adaptive sweep cost ratio",
-		"PR 1", "PR 3", "<polyline", "<circle",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trajectory SVG missing %q", want)
-		}
-	}
-	// Empty series get no panel; a flat or single-point series must not
-	// divide by a zero range.
-	if strings.Contains(out, "never measured") {
-		t.Error("unmeasured series rendered a panel")
-	}
-	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
-		t.Errorf("trajectory SVG holds non-finite coordinates:\n%s", out)
-	}
-	// Degenerate inputs stay valid documents.
-	if got := SVGTrajectory("t", nil, 200); !strings.Contains(got, "<svg") {
-		t.Error("empty trajectory not an SVG")
-	}
-	flat := []TrajectorySeries{{Name: "flat", Points: []TrajectoryPoint{{PR: 1, Value: 2}, {PR: 2, Value: 2}}}}
-	if got := SVGTrajectory("t", flat, 200); strings.Contains(got, "NaN") {
-		t.Error("flat series produced NaN coordinates")
-	}
-}

@@ -170,119 +170,3 @@ func SVGBars(title string, labels []string, values []float64, width, height int)
 	b.WriteString("</svg>\n")
 	return b.String()
 }
-
-// TrajectoryPoint is one PR's value of a tracked benchmark metric.
-type TrajectoryPoint struct {
-	PR    int
-	Value float64
-}
-
-// TrajectorySeries is one metric's per-PR history from the benchmark
-// ledger. Unit annotates the panel label ("ms", "×", "ratio").
-type TrajectorySeries struct {
-	Name   string
-	Unit   string
-	Points []TrajectoryPoint
-}
-
-// SVGTrajectory renders the repo's performance trajectory — the
-// BENCH_history.json ledger — as stacked per-metric panels over a shared
-// PR axis. Each panel keeps its own y-scale (milliseconds, speedups, and
-// cost ratios are not comparable), so the chart reads as small multiples:
-// one glance shows which metrics drift across PRs. Series with no
-// measured points are dropped rather than rendered empty.
-func SVGTrajectory(title string, series []TrajectorySeries, width int) string {
-	var kept []TrajectorySeries
-	minPR, maxPR := 0, 0
-	for _, s := range series {
-		if len(s.Points) == 0 {
-			continue
-		}
-		for _, p := range s.Points {
-			if minPR == 0 || p.PR < minPR {
-				minPR = p.PR
-			}
-			if p.PR > maxPR {
-				maxPR = p.PR
-			}
-		}
-		kept = append(kept, s)
-	}
-	if len(kept) == 0 {
-		return `<svg xmlns="http://www.w3.org/2000/svg"/>`
-	}
-	if maxPR == minPR {
-		maxPR = minPR + 1
-	}
-
-	const (
-		marginL  = 72
-		marginR  = 24
-		headerH  = 36
-		panelH   = 96
-		panelGap = 20
-		footerH  = 34
-	)
-	height := headerH + len(kept)*(panelH+panelGap) + footerH
-	plotW := float64(width - marginL - marginR)
-	x := func(pr int) float64 {
-		return float64(marginL) + float64(pr-minPR)/float64(maxPR-minPR)*plotW
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`+"\n", width, height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
-	fmt.Fprintf(&b, `<text x="%d" y="22" font-size="14" font-weight="bold">%s</text>`+"\n", marginL, xmlEscape(title))
-
-	for k, s := range kept {
-		top := headerH + k*(panelH+panelGap)
-		bottom := top + panelH
-		lo, hi := s.Points[0].Value, s.Points[0].Value
-		for _, p := range s.Points {
-			lo, hi = math.Min(lo, p.Value), math.Max(hi, p.Value)
-		}
-		pad := (hi - lo) * 0.15
-		//mosvet:ignore floateq exact-zero sentinel: pad is 0.0 only for a perfectly flat series
-		if pad == 0 {
-			pad = math.Max(math.Abs(hi)*0.15, 0.5)
-		}
-		lo, hi = lo-pad, hi+pad
-		y := func(v float64) float64 {
-			return float64(bottom) - (v-lo)/(hi-lo)*float64(panelH)
-		}
-
-		color := svgPalette[k%len(svgPalette)]
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%.0f" height="%d" fill="none" stroke="#ccc"/>`+"\n",
-			marginL, top, plotW, panelH)
-		fmt.Fprintf(&b, `<text x="%d" y="%d" font-weight="bold">%s</text>`+"\n",
-			marginL, top-4, xmlEscape(s.Name))
-		fmt.Fprintf(&b, `<text x="%d" y="%.0f" text-anchor="end">%s</text>`+"\n",
-			marginL-6, y(hi-pad)+4, siFormat(hi-pad))
-		fmt.Fprintf(&b, `<text x="%d" y="%.0f" text-anchor="end">%s</text>`+"\n",
-			marginL-6, y(lo+pad)+4, siFormat(lo+pad))
-
-		var pts []string
-		for _, p := range s.Points {
-			pts = append(pts, fmt.Sprintf("%.1f,%.1f", x(p.PR), y(p.Value)))
-		}
-		if len(pts) > 1 {
-			fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>`+"\n",
-				strings.Join(pts, " "), color)
-		}
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="3" fill="%s"><title>PR %d: %s%s</title></circle>`+"\n",
-				x(p.PR), y(p.Value), color, p.PR, siFormat(p.Value), xmlEscape(s.Unit))
-		}
-		last := s.Points[len(s.Points)-1]
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" fill="%s">%s%s</text>`+"\n",
-			x(last.PR)+6, y(last.Value)+4, color, siFormat(last.Value), xmlEscape(s.Unit))
-	}
-
-	// Shared PR axis under the last panel.
-	axisY := headerH + len(kept)*(panelH+panelGap) - panelGap + 16
-	for pr := minPR; pr <= maxPR; pr++ {
-		fmt.Fprintf(&b, `<text x="%.0f" y="%d" text-anchor="middle">PR %d</text>`+"\n", x(pr), axisY, pr)
-	}
-	b.WriteString("</svg>\n")
-	return b.String()
-}

@@ -147,10 +147,3 @@ func (e *SweepExecutor) PoolIdle() int {
 	}
 	return n
 }
-
-// ActivePipelines reports live job pipelines.
-func (e *SweepExecutor) ActivePipelines() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.active)
-}

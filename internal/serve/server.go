@@ -105,10 +105,6 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// RunFunc adapts a SweepExecutor (or test stub) to the JobExecutor type.
-// Kept as a helper so call sites read NewServer(cfg) cleanly.
-func RunFunc(e *SweepExecutor) JobExecutor { return e.Run }
-
 // Metrics exposes the registry for callers adding their own gauges.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 

@@ -32,9 +32,9 @@ var sampledSweepWorkloads = []string{"gups/8GB", "spec06/mcf"}
 // only meaningful in that regime.
 const sampledStretch = 32
 
-// minSampledCount mirrors cmd/mosbench's guard: counters whose exact value
-// is tiny turn one-count differences into huge relative errors without
-// mattering to any fitted model.
+// minSampledCount skips counters whose exact value is tiny: they turn
+// one-count differences into huge relative errors without mattering to
+// any fitted model.
 const minSampledCount = 1000
 
 // sigSampledEvents is the significance threshold of the accuracy contract:
@@ -75,13 +75,13 @@ var sampledCounterNames = []string{
 // runSampledSweep collects the quick-protocol datasets for the stretched
 // bundled workloads on the given platforms under one sampling config,
 // returning the datasets and the replay-stage seconds.
-func runSampledSweep(tb testing.TB, dir string, plats []arch.Platform, s sim.Sampling) ([]*experiment.Dataset, float64) {
-	tb.Helper()
+func runSampledSweep(t *testing.T, dir string, plats []arch.Platform, s sim.Sampling) ([]*experiment.Dataset, float64) {
+	t.Helper()
 	var ws []workloads.Workload
 	for _, name := range sampledSweepWorkloads {
 		w, err := workloads.ByName(name)
 		if err != nil {
-			tb.Fatal(err)
+			t.Fatal(err)
 		}
 		ws = append(ws, workloads.Stretched(w, sampledStretch))
 	}
@@ -91,7 +91,7 @@ func runSampledSweep(tb testing.TB, dir string, plats []arch.Platform, s sim.Sam
 	r.Sampling = s
 	dss, err := r.CollectAll(ws, plats, nil)
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	var replay float64
 	for _, st := range r.StageTimes() {
@@ -120,25 +120,25 @@ type sampledSweepErrors struct {
 // compareSampledSweeps checks two sweeps' datasets (matched by position —
 // both sweeps run the same protocol in the same order) against the
 // accuracy contract.
-func compareSampledSweeps(tb testing.TB, exact, sampled []*experiment.Dataset) sampledSweepErrors {
-	tb.Helper()
+func compareSampledSweeps(t *testing.T, exact, sampled []*experiment.Dataset) sampledSweepErrors {
+	t.Helper()
 	if len(exact) != len(sampled) {
-		tb.Fatalf("%d exact datasets vs %d sampled", len(exact), len(sampled))
+		t.Fatalf("%d exact datasets vs %d sampled", len(exact), len(sampled))
 	}
 	var out sampledSweepErrors
 	for d := range exact {
 		if exact[d].Platform != sampled[d].Platform {
-			tb.Fatalf("dataset order mismatch: %s@%s vs %s@%s",
+			t.Fatalf("dataset order mismatch: %s@%s vs %s@%s",
 				exact[d].Workload, exact[d].Platform, sampled[d].Workload, sampled[d].Platform)
 		}
 		if sampled[d].TotalAccesses == 0 {
-			tb.Fatalf("%s@%s: sampled sweep recorded no coverage", sampled[d].Workload, sampled[d].Platform)
+			t.Fatalf("%s@%s: sampled sweep recorded no coverage", sampled[d].Workload, sampled[d].Platform)
 		}
 		f := float64(sampled[d].MeasuredAccesses) / float64(sampled[d].TotalAccesses)
 		for layoutName, ec := range exact[d].Counters {
 			sc, ok := sampled[d].Counters[layoutName]
 			if !ok {
-				tb.Fatalf("sampled sweep missing layout %s", layoutName)
+				t.Fatalf("sampled sweep missing layout %s", layoutName)
 			}
 			ev, sv := sampledCounterValues(ec), sampledCounterValues(sc)
 			for i := range ev {
@@ -205,24 +205,4 @@ func TestSampledReplayAccuracy(t *testing.T) {
 				ds.Workload, ds.Platform, ds.MeasuredAccesses, ds.TotalAccesses)
 		}
 	}
-}
-
-// BenchmarkSweepQuickSampled is the sampled-replay headline benchmark: the
-// stretched quick sweep on all three platforms under the default sampling
-// config, reporting the speedup over an exact sweep and the worst
-// significant-counter relative error as metrics — the numbers the bench
-// smoke job publishes into BENCH_sweep.json.
-func BenchmarkSweepQuickSampled(b *testing.B) {
-	plats := []arch.Platform{arch.SandyBridge, arch.Haswell, arch.Broadwell}
-	dir := b.TempDir()
-	exact, exactSec := runSampledSweep(b, dir, plats, sim.Sampling{})
-	b.ResetTimer()
-	var sampled []*experiment.Dataset
-	var sampledSec float64
-	for i := 0; i < b.N; i++ {
-		sampled, sampledSec = runSampledSweep(b, dir, plats, sim.DefaultSampling)
-	}
-	errs := compareSampledSweeps(b, exact, sampled)
-	b.ReportMetric(exactSec/sampledSec, "speedup_vs_exact")
-	b.ReportMetric(100*errs.WorstSig, "maxrelerr_%")
 }
