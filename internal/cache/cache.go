@@ -168,26 +168,16 @@ func (c *Cache) probe(blk uint64) bool {
 	return false
 }
 
-// Latency returns the level's hit latency in cycles.
-func (c *Cache) Latency() int { return c.latency }
-
 // Sets returns the number of sets (for tests).
 func (c *Cache) Sets() int { return c.sets }
 
 // Assoc returns the associativity (for tests).
 func (c *Cache) Assoc() int { return c.assoc }
 
-// Flush invalidates every line.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-}
-
-// Reset restores the just-built state: a Reset cache behaves
-// bit-identically to a freshly constructed one.
+// Reset restores the just-built state, every line invalid: a Reset cache
+// behaves bit-identically to a freshly constructed one.
 func (c *Cache) Reset() {
-	c.Flush()
+	clear(c.tags)
 }
 
 // LoadCounts splits per-level load counts by requester, mirroring the
@@ -361,13 +351,6 @@ func (h *Hierarchy) Access(phys mem.Addr, walker bool) (Level, int) {
 // Stats returns a copy of the counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
-// Flush empties all levels and keeps the counters.
-func (h *Hierarchy) Flush() {
-	h.l1.Flush()
-	h.l2.Flush()
-	h.l3.Flush()
-}
-
 // Reset restores the hierarchy to its just-built state: all levels emptied
 // with recency clocks rewound, counters zeroed, and the walker-private
 // ablation cache removed. The set-associative line arrays are retained, so
@@ -379,6 +362,3 @@ func (h *Hierarchy) Reset() {
 	h.walkerPrivate = nil
 	h.stats = Stats{}
 }
-
-// DRAMLatency returns the modelled DRAM access latency.
-func (h *Hierarchy) DRAMLatency() int { return h.dramLat }

@@ -242,12 +242,12 @@ func TestWalkerPollutionEvictsProgramData(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+func TestReset(t *testing.T) {
 	h, _ := NewHierarchy(arch.SandyBridge)
 	h.Access(0x1000, false)
-	h.Flush()
+	h.Reset()
 	if lvl, _ := h.Access(0x1000, false); lvl != LevelDRAM {
-		t.Error("flush should cold the hierarchy")
+		t.Error("reset should cold the hierarchy")
 	}
 }
 

@@ -136,3 +136,49 @@ func TestCollectMatchesFreshBuildReference(t *testing.T) {
 		}
 	}
 }
+
+// TestUnfusedSweepReplaysOneLayoutPerJob: a sweep over a trace too small to
+// fuse schedules one replay job per layout, so at most Parallelism engines
+// per platform are ever live — and the pool holds no more than that idle
+// once the sweep drains.
+func TestUnfusedSweepReplaysOneLayoutPerJob(t *testing.T) {
+	w, err := workloads.ByName("gups/8GB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plats := []arch.Platform{arch.SandyBridge, arch.Haswell, arch.Broadwell}
+	r := quickRunner()
+	r.Parallelism = 2
+	wd, err := r.Prepare(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span := sim.BatchSpan(wd.Trace, 1000, 1); span != 1 {
+		t.Fatalf("fixture trace fuses (BatchSpan = %d); the test needs an unfused one", span)
+	}
+
+	var replay []sim.Progress
+	dss, err := r.CollectAll([]workloads.Workload{w}, plats, func(p sim.Progress) {
+		if p.Stage == sim.StageReplay.String() {
+			replay = append(replay, p)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts := 0
+	for _, ds := range dss {
+		layouts += len(ds.Counters)
+	}
+	if len(replay) == 0 {
+		t.Fatal("no replay-stage progress reported")
+	}
+	for _, p := range replay {
+		if p.Total != layouts {
+			t.Fatalf("replay stage has %d jobs, want one per layout (%d)", p.Total, layouts)
+		}
+	}
+	if idle, limit := r.PoolIdle(), r.Parallelism*len(plats); idle > limit {
+		t.Errorf("%d idle engines after the sweep, want ≤ %d (Parallelism × platforms)", idle, limit)
+	}
+}

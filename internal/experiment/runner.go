@@ -505,7 +505,8 @@ func (r *Runner) CollectAllCtx(ctx context.Context, ws []workloads.Workload, pla
 		return nil, err
 	}
 
-	// Stage 2: plan — miss profile and layout protocol per pair.
+	// Stage 2: plan — layout protocol per pair (Standard and Extended
+	// profile the trace's TLB misses first).
 	sched = sim.Scheduler{Workers: workers, Stage: sim.StagePlan.String(), OnProgress: onProgress, Ctx: ctx}
 	err = sched.Run(len(pending),
 		func(i int) string { return pending[i].key },
@@ -570,15 +571,15 @@ func (r *Runner) CollectAllCtx(ctx context.Context, ws []workloads.Workload, pla
 // planLayouts generates the pair's protocol layouts plus the 1GB
 // validation point. key seeds the protocol's randomized layouts.
 func (r *Runner) planLayouts(wd *WorkloadData, plat arch.Platform, key string) []layout.Layout {
-	profile := layout.ProfileMisses(wd.Trace, plat.Scaled().TLB, wd.Target)
 	var lays []layout.Layout
 	switch r.Proto {
 	case Quick:
+		// The growing windows need no miss profile.
 		lays = wd.Target.GrowingWindows(8)
 	case Extended:
-		lays = wd.Target.Extended(profile, seedFor(key))
+		lays = wd.Target.Extended(layout.ProfileMisses(wd.Trace, plat.Scaled().TLB, wd.Target), seedFor(key))
 	default:
-		lays = wd.Target.Standard(profile, seedFor(key))
+		lays = wd.Target.Standard(layout.ProfileMisses(wd.Trace, plat.Scaled().TLB, wd.Target), seedFor(key))
 	}
 	return append(lays, wd.Target.Baseline1G())
 }
@@ -643,8 +644,8 @@ func assemble(workload, platform string, lays []layout.Layout, res []sim.Result)
 // measureLayouts replays an arbitrary set of a pair's layouts at an
 // explicit sampling fidelity (zero value = exact), independent of the
 // runner's Sampling field, and returns the results in layout order. It is
-// CollectAll's replay stage over a caller-chosen layout set: fused batches
-// sized to the worker pool, shared address spaces, pooled engines — the
+// CollectAll's replay stage over a caller-chosen layout set: the same job
+// shapes, shared address spaces, pooled engines — the
 // adaptive planner uses it to mix cheap probe replays and exact
 // promotions within one sweep. onProgress, when non-nil, receives replay
 // progress reports.
@@ -670,11 +671,12 @@ type replaySpan struct {
 	out  []sim.Result
 }
 
-// replayStage replays every span's layouts at sampling fidelity s, chunked
-// into fused batches sized to keep the worker pool saturated, in one flat
-// worker pool with shared address spaces and pooled engines. A job replays
-// its chunk of same-pair layouts in a single pass over the trace
-// (Runner.replayBatch).
+// replayStage replays every span's layouts at sampling fidelity s in one
+// flat worker pool with shared address spaces and pooled engines. A job is
+// one layout unless the pair's trace is large enough to fuse
+// (sim.BatchSpan); then it replays a chunk of same-pair layouts in a single
+// pass over the trace (Runner.replayBatch). Either way a job holds one
+// engine per layout it replays.
 func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Sampling, onProgress func(sim.Progress)) error {
 	spaces := sim.NewSpaceCache(physMem)
 	spaces.Timing = &r.timing
@@ -688,10 +690,10 @@ func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Samp
 		totalLayouts += len(sp.lays)
 	}
 	replayWorkers := max(1, r.Parallelism)
-	size := sim.BatchSpan(totalLayouts, replayWorkers)
 	var jobs []job
 	for i := range spans {
 		sp := &spans[i]
+		size := sim.BatchSpan(sp.wd.Trace, totalLayouts, replayWorkers)
 		for lo := 0; lo < len(sp.lays); lo += size {
 			hi := min(lo+size, len(sp.lays))
 			keys := make([]string, 0, hi-lo)

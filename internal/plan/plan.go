@@ -283,7 +283,7 @@ func Run(ctx context.Context, m Measurer, lays []layout.Layout, cfg Config, onSt
 	}
 }
 
-// promote measures the indexed points exactly (one fused batch) and
+// promote measures the indexed points exactly (one Measure call) and
 // replaces their probe estimates.
 func promote(ctx context.Context, m Measurer, rep *Report, idx []int) error {
 	if len(idx) == 0 {

@@ -4,46 +4,35 @@ import (
 	"mosaic/internal/trace"
 )
 
-// RunBatch replays one trace through several engines — one per layout of a
-// sweep's protocol, of either kind — under a shared sampling config (the
-// zero Sampling is exact replay). Phased traces and large traces
-// (≥ fuseMinBytes of columns) replay in a single fused driver call; small
-// ones make one driver call per engine. Results are bit-identical either
-// way: engines share no mutable state, fusion only re-orders which engine
-// touches which trace block first, and the window schedule is purely
-// positional, so every engine of a fused batch measures the same windows a
-// solo run would.
-func RunBatch(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
-	if len(engines) == 1 || tr.Phases() != nil || tr.Columns().Bytes() >= fuseMinBytes {
-		return replayFused(engines, tr, s)
-	}
-	out := make([]Result, len(engines))
-	for i, e := range engines {
-		res, err := runOne(e, tr, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// BatchSpan picks how many layouts one replay job should fuse: enough to
-// amortize the trace pass across the batch, but never so many that the
-// sweep's job list shrinks below ~2 jobs per worker — a fully fused pair is
-// worthless if it leaves workers idle. The span is capped at 16 because the
+// maxBatch caps the engines one fused replay job takes (BatchSpan): the
 // fused kernel's win flattens once the batch's combined TLB/cache state no
 // longer fits beside the trace block.
-func BatchSpan(jobs, workers int) int {
+const maxBatch = 16
+
+// fuseMinBytes gates fusion by trace size (BatchSpan). Fusing means every
+// engine's model state (TLB, caches, translator — under a megabyte each) is
+// re-streamed at each block switch; that only pays off when the
+// alternative — re-streaming the whole trace once per engine — is more
+// expensive, i.e. when the trace's columns dwarf the last-level cache.
+// Below the threshold each job replays the (cache-resident) trace through
+// one engine. Tests lower this to exercise multi-layout batches on small
+// fixtures.
+var fuseMinBytes = 64 << 20
+
+// BatchSpan picks how many of a pair's layouts one replay job fuses over
+// tr. Below fuseMinBytes the span is 1, phased trace or not: each job is
+// one layout and holds one engine, since below it fusing buys nothing and
+// a multi-layout job would only hold more engines and spaces at once. At or
+// above it, jobs is the sweep's total layout count and the span is enough
+// to amortize the trace pass across the batch, but never so many that the
+// sweep's job list shrinks below ~2 jobs per worker — a fully fused pair is
+// worthless if it leaves workers idle.
+func BatchSpan(tr *trace.Trace, jobs, workers int) int {
+	if tr.Columns().Bytes() < fuseMinBytes {
+		return 1
+	}
 	if workers < 1 {
 		workers = 1
 	}
-	span := jobs / (2 * workers)
-	if span < 1 {
-		return 1
-	}
-	if span > 16 {
-		return 16
-	}
-	return span
+	return min(max(jobs/(2*workers), 1), maxBatch)
 }

@@ -23,17 +23,7 @@ func batchTestSpaces(t *testing.T, size uint64) []*mem.AddressSpace {
 // TestFullBatchMatchesUnfused is the fused kernel's golden test: RunBatch
 // over N full machines must produce counters bit-identical to replaying the
 // trace through each machine alone.
-// forceFused drops the trace-size gate so small test fixtures exercise the
-// fused kernels rather than the sequential fallback.
-func forceFused(t *testing.T) {
-	t.Helper()
-	old := fuseMinBytes
-	fuseMinBytes = 0
-	t.Cleanup(func() { fuseMinBytes = old })
-}
-
 func TestFullBatchMatchesUnfused(t *testing.T) {
-	forceFused(t)
 	size := uint64(64 << 20)
 	spaces := batchTestSpaces(t, size)
 	tr := testTrace(4, size, 30000)
@@ -78,7 +68,6 @@ func TestFullBatchMatchesUnfused(t *testing.T) {
 // in both fidelity modes, including a batch mixing the two — each simulator
 // must honor its own SimulateProgramCache setting.
 func TestPartialBatchMatchesUnfused(t *testing.T) {
-	forceFused(t)
 	size := uint64(64 << 20)
 	spaces := batchTestSpaces(t, size)
 	tr := testTrace(5, size, 30000)
@@ -122,10 +111,9 @@ func TestPartialBatchMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestMixedBatchFallsBack: a batch mixing engine kinds must still return
-// every engine's own counters (via the sequential fallback).
+// TestMixedBatchFallsBack: a fused batch mixing engine kinds must still
+// return every engine's own counters.
 func TestMixedBatchFallsBack(t *testing.T) {
-	forceFused(t)
 	size := uint64(32 << 20)
 	space := buildTestSpace(t, size, mem.Page4K)
 	tr := testTrace(6, size, 10000)
@@ -150,7 +138,27 @@ func TestMixedBatchFallsBack(t *testing.T) {
 	}
 }
 
+// TestBatchSpan: a trace below fuseMinBytes never fuses — one layout per
+// job whatever the sweep's shape, phased or not — and a trace at or above
+// it fuses enough layouts to keep ~2 jobs per worker, capped at maxBatch.
 func TestBatchSpan(t *testing.T) {
+	tr := testTrace(7, 1<<20, 1000)
+	if tr.Columns().Bytes() >= fuseMinBytes {
+		t.Fatalf("fixture has %d bytes of columns, want < %d", tr.Columns().Bytes(), fuseMinBytes)
+	}
+	phased := phasedSimTrace(8, 1<<20, 3000)
+	for _, tc := range []struct{ jobs, workers int }{{60, 1}, {60, 8}, {1000, 4}} {
+		if got := BatchSpan(tr, tc.jobs, tc.workers); got != 1 {
+			t.Errorf("unfused BatchSpan(%d, %d) = %d, want 1", tc.jobs, tc.workers, got)
+		}
+		if got := BatchSpan(phased, tc.jobs, tc.workers); got != 1 {
+			t.Errorf("phased BatchSpan(%d, %d) = %d, want 1", tc.jobs, tc.workers, got)
+		}
+	}
+
+	old := fuseMinBytes
+	fuseMinBytes = 0
+	t.Cleanup(func() { fuseMinBytes = old })
 	for _, tc := range []struct {
 		jobs, workers, want int
 	}{
@@ -158,10 +166,11 @@ func TestBatchSpan(t *testing.T) {
 		{60, 8, 3},    // keep ≥2 jobs per worker
 		{10, 8, 1},    // fewer jobs than 2×workers: no fusion
 		{0, 4, 1},     // no jobs: degenerate but safe
+		{60, 0, 16},   // workers < 1 counts as one
 		{1000, 4, 16}, // cap
 	} {
-		if got := BatchSpan(tc.jobs, tc.workers); got != tc.want {
-			t.Errorf("BatchSpan(%d, %d) = %d, want %d", tc.jobs, tc.workers, got, tc.want)
+		if got := BatchSpan(tr, tc.jobs, tc.workers); got != tc.want {
+			t.Errorf("fused BatchSpan(%d, %d) = %d, want %d", tc.jobs, tc.workers, got, tc.want)
 		}
 	}
 }

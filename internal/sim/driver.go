@@ -33,15 +33,6 @@ type kernel interface {
 // stay cache-resident while every kernel in the batch streams them.
 const FuseBlock = 262144
 
-// fuseMinBytes gates fusion of unphased batches by trace size. Fusing means
-// every engine's model state (TLB, caches, translator — roughly a megabyte
-// each) is re-streamed at each block switch; that only pays off when the
-// alternative — re-streaming the whole trace once per engine — is more
-// expensive, i.e. when the trace's columns dwarf the last-level cache.
-// Below the threshold each engine replays the (cache-resident) trace alone.
-// Tests lower this to force the fused path on small fixtures.
-var fuseMinBytes = 64 << 20
-
 // span is the replay schedule one driver call walks.
 type span struct {
 	windows []trace.Window
@@ -141,11 +132,18 @@ func kernels(engines []Engine) []kernel {
 	return ks
 }
 
-// replayFused runs the whole trace through a batch of engines in one
-// driver call under the sampling config (the zero Sampling is exact). A
-// multi-phase trace replays its phased schedule and carries per-phase
-// attribution (see phases.go).
-func replayFused(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
+// RunBatch replays one trace through several engines — one per layout of a
+// sweep's protocol, of either kind — in a single fused driver call under a
+// shared sampling config (the zero Sampling is exact replay). Results are
+// bit-identical to replaying each engine alone: engines share no mutable
+// state, fusion only re-orders which engine touches which trace block
+// first, and the window schedule is purely positional, so every engine of
+// a fused batch measures the same windows a solo run would. Callers size
+// batches with BatchSpan, so a batch of more than one engine exists only
+// when its trace is large enough for fusion to pay. A multi-phase trace
+// replays its phased schedule and carries per-phase attribution (see
+// phases.go).
+func RunBatch(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
 	ks := kernels(engines)
 	n := tr.Len()
 	phases := tr.Phases()

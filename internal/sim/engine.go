@@ -96,7 +96,7 @@ type Engine interface {
 // runOne replays a trace through a single engine. A multi-phase trace
 // carries per-phase attribution.
 func runOne(e Engine, tr *trace.Trace, s Sampling) (Result, error) {
-	rs, err := replayFused([]Engine{e}, tr, s)
+	rs, err := RunBatch([]Engine{e}, tr, s)
 	if err != nil {
 		return Result{}, err
 	}

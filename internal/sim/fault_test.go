@@ -31,8 +31,8 @@ func faultTrace(size uint64, n, bad int, phased bool) (*trace.Trace, uint64) {
 	return b.Trace(), uint64(badVA)
 }
 
-// TestFaultTypedOnEveryPath: whatever path replays a batch — one driver
-// call per engine, fused, or phased — a fault in engine k surfaces as a
+// TestFaultTypedOnEveryPath: whatever path replays a batch — engine k
+// alone, fused, or phased — a fault in engine k surfaces as a
 // *cpu.FaultError naming the trace, the access index, and the faulting
 // address, for either engine kind.
 func TestFaultTypedOnEveryPath(t *testing.T) {
@@ -45,11 +45,12 @@ func TestFaultTypedOnEveryPath(t *testing.T) {
 	for _, kind := range []string{"full", "partial"} {
 		for _, path := range []string{"solo", "fused", "phased"} {
 			t.Run(kind+"/"+path, func(t *testing.T) {
-				if path != "solo" {
-					forceFused(t)
+				batch := spaces
+				if path == "solo" {
+					batch = spaces[k : k+1]
 				}
 				tr, badVA := faultTrace(size, n, bad, path == "phased")
-				_, err := RunBatch(sampledTestEngines(t, kind, spaces), tr, Sampling{})
+				_, err := RunBatch(sampledTestEngines(t, kind, batch), tr, Sampling{})
 				var fe *cpu.FaultError
 				if !errors.As(err, &fe) {
 					t.Fatalf("error %v (%T), want *cpu.FaultError", err, err)

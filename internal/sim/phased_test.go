@@ -151,7 +151,6 @@ func TestPhasedFullCoverageSampledIsExact(t *testing.T) {
 // and off, for batches of one kind and for a batch mixing full, partial, and
 // high-fidelity partial engines.
 func TestPhasedFusedMatchesSolo(t *testing.T) {
-	forceFused(t)
 	size := uint64(64 << 20)
 	spaces := batchTestSpaces(t, size)
 	tr := phasedSimTrace(33, size, 150000)

@@ -31,25 +31,17 @@ type poolKey struct {
 	plat string
 }
 
-// DefaultMaxIdle bounds the idle engines a Pool retains per (kind,
-// platform). 16 matches the BatchSpan cap, so a fused batch's worth of
-// engines always round-trips through the pool intact; anything beyond that
-// is a leak in the making — each engine pins ~1MB of TLB/cache arrays, and
-// a sweep burst that briefly Put back hundreds of engines would otherwise
-// hold that memory for the rest of the process.
-const DefaultMaxIdle = 16
-
 // Pool recycles engines across replays. Engines are keyed by (kind,
 // platform name): a Get for a platform that has an idle engine Resets and
 // returns it — reusing its set-associative TLB/cache arrays — instead of
-// allocating a new machine. The zero Pool is ready to use.
+// allocating a new machine. Put retains at most maxBatch idle engines per
+// (kind, platform), so a fused batch's engines round-trip through the pool
+// intact; engines beyond that are dropped for the GC rather than pinning
+// up to a megabyte of TLB/cache arrays each for the rest of the process.
+// The zero Pool is ready to use.
 type Pool struct {
 	mu   sync.Mutex
 	free map[poolKey][]Engine
-	// MaxIdle caps the idle engines retained per (kind, platform); Put drops
-	// engines beyond the cap. Zero means DefaultMaxIdle; negative means
-	// unbounded. Set before concurrent use.
-	MaxIdle int
 }
 
 // Get returns an engine of the given kind, Reset to (plat, space). It
@@ -98,8 +90,8 @@ func (p *Pool) Partial(plat arch.Platform, space *mem.AddressSpace) (*Partial, e
 
 // Put returns an engine to the pool for reuse. The engine must not be used
 // by the caller afterwards. When the engine's (kind, platform) bucket is
-// already at MaxIdle idle engines, the engine is dropped for the GC to
-// reclaim instead of retained.
+// already at the cap, the engine is dropped for the GC to reclaim instead
+// of retained.
 func (p *Pool) Put(e Engine) {
 	if e == nil {
 		return
@@ -111,11 +103,7 @@ func (p *Pool) Put(e Engine) {
 	key := poolKey{kind: kind, plat: e.Platform().Name}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	max := p.MaxIdle
-	if max == 0 {
-		max = DefaultMaxIdle
-	}
-	if max > 0 && len(p.free[key]) >= max {
+	if len(p.free[key]) >= maxBatch {
 		return
 	}
 	if p.free == nil {

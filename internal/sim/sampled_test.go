@@ -51,7 +51,6 @@ func exactEqual(a, b Result) bool {
 // bit-identical to Run — including the zero bookkeeping fields — for both
 // engine kinds and both partial-fidelity modes, solo and fused.
 func TestSampledDisabledIsExact(t *testing.T) {
-	forceFused(t)
 	size := uint64(64 << 20)
 	spaces := batchTestSpaces(t, size)
 	tr := testTrace(11, size, 30000)
@@ -92,7 +91,6 @@ func TestSampledDisabledIsExact(t *testing.T) {
 // mode — warmups are clipped away and the merged window spans the trace —
 // while still recording full coverage in the bookkeeping fields.
 func TestSampledFullCoverageIsExact(t *testing.T) {
-	forceFused(t)
 	size := uint64(64 << 20)
 	spaces := batchTestSpaces(t, size)
 	tr := testTrace(12, size, 30000)
@@ -144,7 +142,6 @@ func TestSampledFullCoverageIsExact(t *testing.T) {
 // config, the fused batch kernels must produce results bit-identical to
 // running each engine's RunSampled alone — fusion and sampling compose.
 func TestSampledBatchMatchesSolo(t *testing.T) {
-	forceFused(t)
 	size := uint64(64 << 20)
 	spaces := batchTestSpaces(t, size)
 	tr := testTrace(13, size, 30000)
@@ -236,46 +233,29 @@ func TestSampledExtrapolationTracksExact(t *testing.T) {
 	}
 }
 
-// TestPoolCapsIdleEngines: Put must retain at most MaxIdle engines per
+// TestPoolCapsIdleEngines: Put must retain at most maxBatch engines per
 // (kind, platform) bucket and drop the excess.
 func TestPoolCapsIdleEngines(t *testing.T) {
 	space := buildTestSpace(t, 1<<20, mem.Page4K)
-	fill := func(p *Pool, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			eng, err := NewFull(arch.SandyBridge, space)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Put(eng)
+	var p Pool
+	for i := 0; i < maxBatch+5; i++ {
+		eng, err := NewFull(arch.SandyBridge, space)
+		if err != nil {
+			t.Fatal(err)
 		}
+		p.Put(eng)
 	}
-
-	var def Pool
-	fill(&def, DefaultMaxIdle+5)
-	if got := def.Idle(); got != DefaultMaxIdle {
-		t.Errorf("default cap retained %d idle engines, want %d", got, DefaultMaxIdle)
-	}
-
-	small := Pool{MaxIdle: 2}
-	fill(&small, 5)
-	if got := small.Idle(); got != 2 {
-		t.Errorf("MaxIdle=2 retained %d idle engines, want 2", got)
+	if got := p.Idle(); got != maxBatch {
+		t.Errorf("cap retained %d idle engines, want %d", got, maxBatch)
 	}
 	// Other buckets have their own budget.
 	part, err := NewPartial(arch.SandyBridge, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small.Put(part)
-	if got := small.Idle(); got != 3 {
-		t.Errorf("after partial Put: %d idle engines, want 3", got)
-	}
-
-	unbounded := Pool{MaxIdle: -1}
-	fill(&unbounded, DefaultMaxIdle+9)
-	if got := unbounded.Idle(); got != DefaultMaxIdle+9 {
-		t.Errorf("unbounded pool retained %d idle engines, want %d", got, DefaultMaxIdle+9)
+	p.Put(part)
+	if got := p.Idle(); got != maxBatch+1 {
+		t.Errorf("after partial Put: %d idle engines, want %d", got, maxBatch+1)
 	}
 }
 

@@ -107,19 +107,14 @@ func (s *setAssoc) probe(idx, tag uint64) bool {
 	return false
 }
 
-func (s *setAssoc) flush() {
+// reset restores just-built state: with recency kept in tag order that is
+// every entry invalid. A nil structure (a level the platform lacks) is a
+// no-op.
+func (s *setAssoc) reset() {
 	if s == nil {
 		return
 	}
-	for i := range s.tags {
-		s.tags[i] = 0
-	}
-}
-
-// reset restores just-built state; with recency kept in tag order that is
-// exactly what flush does.
-func (s *setAssoc) reset() {
-	s.flush()
+	clear(s.tags)
 }
 
 // Stats counts translation events per page size plus the aggregates the
@@ -282,15 +277,6 @@ func (t *TLB) Reset() {
 	t.l21g.reset()
 	t.stats = Stats{}
 	t.missBySize = [4]uint64{}
-}
-
-// Flush empties both levels (counters are kept).
-func (t *TLB) Flush() {
-	t.l14k.flush()
-	t.l12m.flush()
-	t.l11g.flush()
-	t.l2.flush()
-	t.l21g.flush()
 }
 
 // Counts returns the current scalar counters without materializing the

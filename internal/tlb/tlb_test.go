@@ -154,13 +154,13 @@ func TestWorkingSetWithinL1(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+func TestReset(t *testing.T) {
 	tb := New(arch.Broadwell.TLB)
 	tb.Lookup(0x1000, mem.Page4K)
 	tb.Insert(0x1000, mem.Page4K)
-	tb.Flush()
+	tb.Reset()
 	if got := tb.Lookup(0x1000, mem.Page4K); got != Miss {
-		t.Errorf("post-flush lookup = %v, want Miss", got)
+		t.Errorf("post-reset lookup = %v, want Miss", got)
 	}
 }
 
