@@ -5,7 +5,10 @@ import (
 
 	"mosaic/internal/arch"
 	"mosaic/internal/cpu"
+	"mosaic/internal/layout"
+	"mosaic/internal/mem"
 	"mosaic/internal/sim"
+	"mosaic/internal/trace"
 	"mosaic/internal/workloads"
 )
 
@@ -181,4 +184,91 @@ func TestUnfusedSweepReplaysOneLayoutPerJob(t *testing.T) {
 	if idle, limit := r.PoolIdle(), r.Parallelism*len(plats); idle > limit {
 		t.Errorf("%d idle engines after the sweep, want ≤ %d (Parallelism × platforms)", idle, limit)
 	}
+}
+
+// TestSweepReplaysEachDistinctSpaceOnce: Standard layouts that resolve to
+// the same pool mosaic share a sim.SpaceKey, and the replay stage replays
+// only the first of them per pair. The progress Total counts distinct
+// spaces, yet every layout — replayed or copied — must carry the counters
+// and phase rows of a solo replay of that layout, on both the unfused and
+// the fused job shapes.
+func TestSweepReplaysEachDistinctSpaceOnce(t *testing.T) {
+	w, err := workloads.ByName("dbindex/btree-point-zipf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := arch.SandyBridge
+	solo := NewRunner()
+	wd, err := solo.Prepare(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lays := solo.ProtocolLayouts(wd, plat)
+	keys := make(map[string]string, len(lays)) // space key → first layout
+	want := make(map[string]sim.Result, len(lays))
+	for _, lay := range lays {
+		if _, ok := keys[sim.SpaceKey(lay.Cfg)]; !ok {
+			keys[sim.SpaceKey(lay.Cfg)] = lay.Name
+		}
+		space, err := solo.buildSpace(lay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := solo.replayBatch(wd, plat.Scaled(), []layout.Layout{lay}, []*mem.AddressSpace{space}, sim.Sampling{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Phases == nil {
+			t.Fatalf("layout %s: no phase rows; the test needs a phased trace", lay.Name)
+		}
+		want[lay.Name] = res[0]
+	}
+	if len(keys) >= len(lays) {
+		t.Fatalf("%d distinct spaces among %d layouts; the test needs duplicates", len(keys), len(lays))
+	}
+
+	check := func(t *testing.T, wantJobs int) {
+		r := NewRunner()
+		r.Parallelism = 2
+		totals := make(map[int]bool)
+		dss, err := r.CollectAll([]workloads.Workload{w}, []arch.Platform{plat}, func(p sim.Progress) {
+			if p.Stage == sim.StageReplay.String() {
+				totals[p.Total] = true
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(totals) != 1 || !totals[wantJobs] {
+			t.Errorf("replay stage totals %v, want %d jobs (%d distinct spaces of %d layouts)",
+				totals, wantJobs, len(keys), len(lays))
+		}
+		ds := dss[0]
+		if len(ds.Counters) != len(lays) {
+			t.Fatalf("dataset has %d layouts, want %d", len(ds.Counters), len(lays))
+		}
+		for _, lay := range lays {
+			got := sim.Result{Counters: ds.Counters[lay.Name], Phases: ds.Phases[lay.Name]}
+			if !got.Equal(want[lay.Name]) {
+				t.Fatalf("layout %s: sweep %+v differs from solo replay %+v", lay.Name, got, want[lay.Name])
+			}
+			if first := keys[sim.SpaceKey(lay.Cfg)]; first != lay.Name && &ds.Phases[first][0] == &ds.Phases[lay.Name][0] {
+				t.Fatalf("layout %s shares its phase rows with %s", lay.Name, first)
+			}
+		}
+	}
+	t.Run("unfused", func(t *testing.T) { check(t, len(keys)) })
+	t.Run("fused", func(t *testing.T) {
+		const span = 4
+		var jobsArg []int
+		batchSpan = func(_ *trace.Trace, jobs, _ int) int {
+			jobsArg = append(jobsArg, jobs)
+			return span
+		}
+		t.Cleanup(func() { batchSpan = sim.BatchSpan })
+		check(t, (len(keys)+span-1)/span)
+		if len(jobsArg) != 1 || jobsArg[0] != len(keys) {
+			t.Errorf("batchSpan got jobs %v, want [%d] (the distinct count)", jobsArg, len(keys))
+		}
+	})
 }

@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -672,46 +673,67 @@ type replaySpan struct {
 }
 
 // replayStage replays every span's layouts at sampling fidelity s in one
-// flat worker pool with shared address spaces and pooled engines. A job is
-// one layout unless the pair's trace is large enough to fuse
-// (sim.BatchSpan); then it replays a chunk of same-pair layouts in a single
-// pass over the trace (Runner.replayBatch). Either way a job holds one
-// engine per layout it replays.
+// flat worker pool with shared address spaces and pooled engines. Within a
+// span, layouts whose pool configurations resolve to the same address
+// space (sim.SpaceKey) replay the same trace on the same machine and space,
+// so only the first of them is replayed; each later one receives a copy of
+// its result once the pool drains. A job is one distinct layout unless the
+// pair's trace is large enough to fuse (batchSpan); then it replays a chunk
+// of the pair's distinct layouts in a single pass over the trace
+// (Runner.replayBatch). Either way a job holds one engine per layout it
+// replays.
 func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Sampling, onProgress func(sim.Progress)) error {
 	spaces := sim.NewSpaceCache(physMem)
 	spaces.Timing = &r.timing
 	type job struct {
 		span      *replaySpan
-		lo, hi    int      // layout index span [lo, hi)
-		spaceKeys []string // one per layout in the span
+		idx       []int    // distinct layout indices the job replays
+		spaceKeys []string // one per index
 	}
-	totalLayouts := 0
-	for _, sp := range spans {
-		totalLayouts += len(sp.lays)
+	type alias struct {
+		span     *replaySpan
+		dst, src int // layout dst takes layout src's result
+	}
+	distinct := make([][]int, len(spans))
+	var aliases []alias
+	totalDistinct := 0
+	for i := range spans {
+		sp := &spans[i]
+		first := make(map[string]int, len(sp.lays))
+		for k, lay := range sp.lays {
+			key := sim.SpaceKey(lay.Cfg)
+			if src, ok := first[key]; ok {
+				aliases = append(aliases, alias{span: sp, dst: k, src: src})
+				continue
+			}
+			first[key] = k
+			distinct[i] = append(distinct[i], k)
+		}
+		totalDistinct += len(distinct[i])
 	}
 	replayWorkers := max(1, r.Parallelism)
 	var jobs []job
 	for i := range spans {
 		sp := &spans[i]
-		size := sim.BatchSpan(sp.wd.Trace, totalLayouts, replayWorkers)
-		for lo := 0; lo < len(sp.lays); lo += size {
-			hi := min(lo+size, len(sp.lays))
-			keys := make([]string, 0, hi-lo)
-			for _, lay := range sp.lays[lo:hi] {
-				keys = append(keys, spaces.Register(lay.Cfg))
+		size := batchSpan(sp.wd.Trace, totalDistinct, replayWorkers)
+		for lo := 0; lo < len(distinct[i]); lo += size {
+			idx := distinct[i][lo:min(lo+size, len(distinct[i]))]
+			keys := make([]string, len(idx))
+			for k, li := range idx {
+				keys[k] = spaces.Register(sp.lays[li].Cfg)
 			}
-			jobs = append(jobs, job{span: sp, lo: lo, hi: hi, spaceKeys: keys})
+			jobs = append(jobs, job{span: sp, idx: idx, spaceKeys: keys})
 		}
 	}
 	sched := sim.Scheduler{Workers: replayWorkers, Stage: sim.StageReplay.String(), OnProgress: onProgress, Ctx: ctx}
-	return sched.Run(len(jobs),
+	err := sched.Run(len(jobs),
 		func(i int) string {
 			j := jobs[i]
-			lays := j.span.lays[j.lo:j.hi]
-			if len(lays) == 1 {
-				return j.span.key + "/" + lays[0].Name
+			first, last := j.span.lays[j.idx[0]].Name, j.span.lays[j.idx[len(j.idx)-1]].Name
+			if len(j.idx) == 1 {
+				return j.span.key + "/" + first
 			}
-			return j.span.key + "/" + lays[0].Name + ".." + lays[len(lays)-1].Name
+			return j.span.key + "/" + first + ".." + last
 		},
 		func(i int) error {
 			j := jobs[i]
@@ -720,12 +742,13 @@ func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Samp
 					spaces.Release(k)
 				}
 			}()
-			lays := j.span.lays[j.lo:j.hi]
-			batch := make([]*mem.AddressSpace, len(lays))
-			for k, lay := range lays {
-				space, err := spaces.Get(j.spaceKeys[k], lay.Cfg)
+			lays := make([]layout.Layout, len(j.idx))
+			batch := make([]*mem.AddressSpace, len(j.idx))
+			for k, li := range j.idx {
+				lays[k] = j.span.lays[li]
+				space, err := spaces.Get(j.spaceKeys[k], lays[k].Cfg)
 				if err != nil {
-					return fmt.Errorf("experiment: layout %s: %w", lay.Name, err)
+					return fmt.Errorf("experiment: layout %s: %w", lays[k].Name, err)
 				}
 				batch[k] = space
 			}
@@ -733,10 +756,25 @@ func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Samp
 			if err != nil {
 				return err
 			}
-			copy(j.span.out[j.lo:j.hi], results)
+			for k, li := range j.idx {
+				j.span.out[li] = results[k]
+			}
 			return nil
 		})
+	if err != nil {
+		return err
+	}
+	for _, a := range aliases {
+		res := a.span.out[a.src]
+		res.Phases = slices.Clone(res.Phases)
+		a.span.out[a.dst] = res
+	}
+	return nil
 }
+
+// batchSpan sizes replay jobs (sim.BatchSpan). Tests substitute it to
+// exercise fused batches on fixtures too small to fuse.
+var batchSpan = sim.BatchSpan
 
 // PairMeasurer binds one (workload, platform) pair of a Runner into a
 // layout-at-a-time measurement surface: Measure replays layouts at an

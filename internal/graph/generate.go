@@ -8,7 +8,7 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed graph in CSR (compressed sparse row) form, the layout
@@ -52,7 +52,7 @@ func fromEdgeList(n int, src, dst []uint32, weighted bool, rng *rand.Rand) *Grap
 	}
 	for u := 0; u < n; u++ {
 		adj := g.Edges[g.Offsets[u]:g.Offsets[u+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 	}
 	if weighted {
 		g.Weights = make([]uint8, len(g.Edges))
@@ -91,16 +91,26 @@ func generateRMAT(n, edgeFactor int, a, b, c float64, seed int64, weighted bool)
 	for 1<<bits < n {
 		bits++
 	}
+	// rng.Float64() is float64(rng.Int63()) / 2^63, redrawn when that
+	// rounds to 1. Dividing by a power of two is exact, so comparing the
+	// undivided draw against thresholds scaled by 2^63 takes the same
+	// branches on the same random stream, without the division. The draw
+	// never exceeds 2^63, so >= is the redraw test.
+	const scale = 1 << 63
+	ta, tab, tabc := a*scale, (a+b)*scale, (a+b+c)*scale
 	for i := 0; i < m; i++ {
 		var u, v int
 		for level := 0; level < bits; level++ {
-			r := rng.Float64()
+			r := float64(rng.Int63())
+			for r >= scale {
+				r = float64(rng.Int63())
+			}
 			switch {
-			case r < a:
+			case r < ta:
 				// upper-left quadrant
-			case r < a+b:
+			case r < tab:
 				v |= 1 << level
-			case r < a+b+c:
+			case r < tabc:
 				u |= 1 << level
 			default:
 				u |= 1 << level

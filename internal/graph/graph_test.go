@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -267,5 +269,34 @@ func TestBudgetSkipFastForwards(t *testing.T) {
 	// The first recorded access matches the full trace at offset 1000.
 	if skipped.Trace().At(0).VA != full.Trace().At(1000).VA {
 		t.Error("fast-forward changed the execution")
+	}
+}
+
+// digest is an FNV-1a hash over a graph's Offsets, Edges and Weights.
+func digest(g *Graph) uint64 {
+	h := fnv.New64a()
+	_ = binary.Write(h, binary.LittleEndian, g.Offsets)
+	_ = binary.Write(h, binary.LittleEndian, g.Edges)
+	_ = binary.Write(h, binary.LittleEndian, g.Weights)
+	return h.Sum64()
+}
+
+// TestGeneratorsPinned pins the generators' output bit for bit: every
+// graph workload's trace, and so every dataset and paper table built on
+// it, follows from these arrays. A faster generator must reproduce them.
+func TestGeneratorsPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *Graph
+		want uint64
+	}{
+		{"kronecker", GenerateKronecker(11, 16, 7), 0x97804dc40dd45558},
+		{"twitter", GenerateTwitter(3000, 12, 11), 0xfcf5ef014a9900c5},
+		{"web", GenerateWeb(2500, 10, 13), 0xc878da0666e48cf9},
+	}
+	for _, c := range cases {
+		if got := digest(c.g); got != c.want {
+			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func (p *predictRequest) validate() (registry.Request, error) {
 	// A fixed order makes the error for several bad inputs deterministic.
 	names := [...]string{"h", "m", "c"}
 	for i, v := range [...]float64{*p.H, *p.M, *p.C} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return req, fmt.Errorf("%s must be finite", names[i])
 		}
 		if v < 0 {
@@ -89,6 +89,17 @@ func (p *predictRequest) validate() (registry.Request, error) {
 	}
 	req.H, req.M, req.C = *p.H, *p.M, *p.C
 	return req, nil
+}
+
+// finite reports whether every value is neither NaN nor ±Inf — what JSON
+// can carry.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // jobRequest is the /v1/jobs body — the spec plus nothing else.

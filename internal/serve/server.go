@@ -160,11 +160,18 @@ func (s *Server) count(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON writes one JSON response.
+// writeJSON writes one JSON response. The body is encoded before the
+// status goes out, so a value encoding/json refuses becomes a 500 error
+// envelope rather than the given status with a truncated body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // fail writes the error envelope and counts it.
@@ -189,6 +196,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	pred, err := s.batcher.Predict(r.Context(), req)
 	s.predictSec.Observe(time.Since(start))
 	switch {
+	case err == nil && !finite(pred.Runtime, pred.Lo, pred.Hi):
+		// Finite inputs far outside the training samples can overflow a
+		// model; JSON has no encoding for the result.
+		s.fail(w, http.StatusBadRequest, "prediction is not finite (runtime %v): inputs are outside the model's range", pred.Runtime)
 	case err == nil:
 		s.writeJSON(w, http.StatusOK, pred)
 	case errors.Is(err, registry.ErrUnknownPair),

@@ -178,6 +178,29 @@ func TestPredictEndpoint(t *testing.T) {
 	}
 }
 
+// TestPredictNonFinite: finite inputs far outside the training samples can
+// drive a model to ±Inf, which JSON cannot carry. The answer is a 400 error
+// envelope, never a 200 with an empty body; and a response that fails to
+// encode becomes a 500 envelope before any status is sent.
+func TestPredictNonFinite(t *testing.T) {
+	s, ts := newTestServer(t, ServerConfig{})
+	resp, body := postJSON(t, ts.URL+"/v1/predict",
+		`{"workload":"gups/8GB","platform":"SandyBridge","model":"basu","h":1,"m":1e308,"c":1}`)
+	var env apiError
+	if err := json.Unmarshal(body, &env); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(env.Error, "not finite") {
+		t.Errorf("basu at m=1e308: %d %q (%v), want a 400 envelope naming the non-finite prediction",
+			resp.StatusCode, body, err)
+	}
+
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusOK, math.Inf(1))
+	env = apiError{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusInternalServerError || env.Error == "" {
+		t.Errorf("writeJSON(+Inf): %d %q (%v), want a 500 envelope", rec.Code, rec.Body.Bytes(), err)
+	}
+}
+
 // TestJobLifecycleE2E: submit → poll → result over real HTTP.
 func TestJobLifecycleE2E(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{Executor: stubExecutor(20 * time.Millisecond), JobWorkers: 1, JobQueueDepth: 4})

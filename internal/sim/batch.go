@@ -23,10 +23,10 @@ var fuseMinBytes = 64 << 20
 // tr. Below fuseMinBytes the span is 1, phased trace or not: each job is
 // one layout and holds one engine, since below it fusing buys nothing and
 // a multi-layout job would only hold more engines and spaces at once. At or
-// above it, jobs is the sweep's total layout count and the span is enough
-// to amortize the trace pass across the batch, but never so many that the
-// sweep's job list shrinks below ~2 jobs per worker — a fully fused pair is
-// worthless if it leaves workers idle.
+// above it, jobs is the number of layout replays the sweep schedules and
+// the span is enough to amortize the trace pass across the batch, but never
+// so many that the sweep's job list shrinks below ~2 jobs per worker — a
+// fully fused pair is worthless if it leaves workers idle.
 func BatchSpan(tr *trace.Trace, jobs, workers int) int {
 	if tr.Columns().Bytes() < fuseMinBytes {
 		return 1
