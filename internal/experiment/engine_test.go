@@ -5,10 +5,7 @@ import (
 
 	"mosaic/internal/arch"
 	"mosaic/internal/cpu"
-	"mosaic/internal/layout"
-	"mosaic/internal/mem"
 	"mosaic/internal/sim"
-	"mosaic/internal/trace"
 	"mosaic/internal/workloads"
 )
 
@@ -140,10 +137,9 @@ func TestCollectMatchesFreshBuildReference(t *testing.T) {
 	}
 }
 
-// TestUnfusedSweepReplaysOneLayoutPerJob: a sweep over a trace too small to
-// fuse schedules one replay job per layout, so at most Parallelism engines
-// per platform are ever live — and the pool holds no more than that idle
-// once the sweep drains.
+// TestUnfusedSweepReplaysOneLayoutPerJob: a sweep schedules one replay job
+// per layout, so at most Parallelism engines per platform are ever live —
+// and the pool holds no more than that idle once the sweep drains.
 func TestUnfusedSweepReplaysOneLayoutPerJob(t *testing.T) {
 	w, err := workloads.ByName("gups/8GB")
 	if err != nil {
@@ -152,12 +148,8 @@ func TestUnfusedSweepReplaysOneLayoutPerJob(t *testing.T) {
 	plats := []arch.Platform{arch.SandyBridge, arch.Haswell, arch.Broadwell}
 	r := quickRunner()
 	r.Parallelism = 2
-	wd, err := r.Prepare(w)
-	if err != nil {
+	if _, err := r.Prepare(w); err != nil {
 		t.Fatal(err)
-	}
-	if span := sim.BatchSpan(wd.Trace, 1000, 1); span != 1 {
-		t.Fatalf("fixture trace fuses (BatchSpan = %d); the test needs an unfused one", span)
 	}
 
 	var replay []sim.Progress
@@ -190,8 +182,7 @@ func TestUnfusedSweepReplaysOneLayoutPerJob(t *testing.T) {
 // the same pool mosaic share a sim.SpaceKey, and the replay stage replays
 // only the first of them per pair. The progress Total counts distinct
 // spaces, yet every layout — replayed or copied — must carry the counters
-// and phase rows of a solo replay of that layout, on both the unfused and
-// the fused job shapes.
+// and phase rows of a solo replay of that layout.
 func TestSweepReplaysEachDistinctSpaceOnce(t *testing.T) {
 	w, err := workloads.ByName("dbindex/btree-point-zipf")
 	if err != nil {
@@ -214,20 +205,20 @@ func TestSweepReplaysEachDistinctSpaceOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solo.replayBatch(wd, plat.Scaled(), []layout.Layout{lay}, []*mem.AddressSpace{space}, sim.Sampling{})
+		res, err := solo.replay(wd, plat.Scaled(), lay, space, sim.Sampling{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res[0].Phases == nil {
+		if res.Phases == nil {
 			t.Fatalf("layout %s: no phase rows; the test needs a phased trace", lay.Name)
 		}
-		want[lay.Name] = res[0]
+		want[lay.Name] = res
 	}
 	if len(keys) >= len(lays) {
 		t.Fatalf("%d distinct spaces among %d layouts; the test needs duplicates", len(keys), len(lays))
 	}
 
-	check := func(t *testing.T, wantJobs int) {
+	t.Run("unfused", func(t *testing.T) {
 		r := NewRunner()
 		r.Parallelism = 2
 		totals := make(map[int]bool)
@@ -239,9 +230,9 @@ func TestSweepReplaysEachDistinctSpaceOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(totals) != 1 || !totals[wantJobs] {
-			t.Errorf("replay stage totals %v, want %d jobs (%d distinct spaces of %d layouts)",
-				totals, wantJobs, len(keys), len(lays))
+		if len(totals) != 1 || !totals[len(keys)] {
+			t.Errorf("replay stage totals %v, want %d jobs (one per distinct space of %d layouts)",
+				totals, len(keys), len(lays))
 		}
 		ds := dss[0]
 		if len(ds.Counters) != len(lays) {
@@ -255,20 +246,6 @@ func TestSweepReplaysEachDistinctSpaceOnce(t *testing.T) {
 			if first := keys[sim.SpaceKey(lay.Cfg)]; first != lay.Name && &ds.Phases[first][0] == &ds.Phases[lay.Name][0] {
 				t.Fatalf("layout %s shares its phase rows with %s", lay.Name, first)
 			}
-		}
-	}
-	t.Run("unfused", func(t *testing.T) { check(t, len(keys)) })
-	t.Run("fused", func(t *testing.T) {
-		const span = 4
-		var jobsArg []int
-		batchSpan = func(_ *trace.Trace, jobs, _ int) int {
-			jobsArg = append(jobsArg, jobs)
-			return span
-		}
-		t.Cleanup(func() { batchSpan = sim.BatchSpan })
-		check(t, (len(keys)+span-1)/span)
-		if len(jobsArg) != 1 || jobsArg[0] != len(keys) {
-			t.Errorf("batchSpan got jobs %v, want [%d] (the distinct count)", jobsArg, len(keys))
 		}
 	})
 }

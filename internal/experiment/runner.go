@@ -290,50 +290,29 @@ func (r *Runner) buildSpace(lay layout.Layout) (*mem.AddressSpace, error) {
 	return space, nil
 }
 
-// replay runs the replay stage: one pooled full machine over the trace.
-// plat must already be Scaled.
-func (r *Runner) replay(wd *WorkloadData, plat arch.Platform, lay layout.Layout, space *mem.AddressSpace) (pmu.Counters, error) {
-	results, err := r.replayBatch(wd, plat, []layout.Layout{lay}, []*mem.AddressSpace{space}, r.Sampling)
+// replay runs the replay stage for one layout: one pooled full machine
+// replays the trace over the layout's space under the given sampling
+// config. plat must already be Scaled.
+func (r *Runner) replay(wd *WorkloadData, plat arch.Platform, lay layout.Layout, space *mem.AddressSpace, s sim.Sampling) (sim.Result, error) {
+	eng, err := r.engines.Full(plat, space)
 	if err != nil {
-		return pmu.Counters{}, err
+		return sim.Result{}, err
 	}
-	return results[0].Counters, nil
-}
-
-// replayBatch runs the replay stage for a span of one pair's layouts: N
-// pooled full machines — one per layout — advance through the trace in a
-// single fused pass (sim.RunBatch) under the given sampling config, so
-// the trace columns are streamed from memory once per block instead of
-// once per layout. Counters are bit-identical to replaying each layout
-// alone. plat must already be Scaled.
-func (r *Runner) replayBatch(wd *WorkloadData, plat arch.Platform, lays []layout.Layout, spaces []*mem.AddressSpace, s sim.Sampling) ([]sim.Result, error) {
-	engines := make([]sim.Engine, len(lays))
-	for i, space := range spaces {
-		eng, err := r.engines.Full(plat, space)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = eng
-	}
-	var results []sim.Result
-	err := r.timing.Time(sim.StageReplay, func() error {
+	var res sim.Result
+	err = r.timing.Time(sim.StageReplay, func() error {
 		var err error
-		results, err = sim.RunBatch(engines, wd.Trace, s)
+		res, err = eng.RunSampled(wd.Trace, s)
 		return err
 	})
 	if err != nil {
-		// Faulted engines are dropped rather than pooled.
-		return nil, fmt.Errorf("experiment: %s on %s under %s..%s: %w",
-			wd.Workload.Name(), plat.Name, lays[0].Name, lays[len(lays)-1].Name, err)
+		// A faulted engine is dropped rather than pooled.
+		return sim.Result{}, fmt.Errorf("experiment: %s on %s under %s: %w",
+			wd.Workload.Name(), plat.Name, lay.Name, err)
 	}
-	for _, eng := range engines {
-		r.engines.Put(eng)
-	}
-	for _, res := range results {
-		r.measuredAccesses.Add(res.MeasuredAccesses)
-		r.totalAccesses.Add(res.TotalAccesses)
-	}
-	return results, nil
+	r.engines.Put(eng)
+	r.measuredAccesses.Add(res.MeasuredAccesses)
+	r.totalAccesses.Add(res.TotalAccesses)
+	return res, nil
 }
 
 // RunLayout replays the workload's trace on the platform under one layout
@@ -346,7 +325,8 @@ func (r *Runner) RunLayout(wd *WorkloadData, plat arch.Platform, lay layout.Layo
 	if err != nil {
 		return pmu.Counters{}, err
 	}
-	return r.replay(wd, plat, lay, space)
+	res, err := r.replay(wd, plat, lay, space, r.Sampling)
+	return res.Counters, err
 }
 
 // PartialSimulate replays the workload's trace through the partial
@@ -673,30 +653,25 @@ type replaySpan struct {
 }
 
 // replayStage replays every span's layouts at sampling fidelity s in one
-// flat worker pool with shared address spaces and pooled engines. Within a
-// span, layouts whose pool configurations resolve to the same address
-// space (sim.SpaceKey) replay the same trace on the same machine and space,
-// so only the first of them is replayed; each later one receives a copy of
-// its result once the pool drains. A job is one distinct layout unless the
-// pair's trace is large enough to fuse (batchSpan); then it replays a chunk
-// of the pair's distinct layouts in a single pass over the trace
-// (Runner.replayBatch). Either way a job holds one engine per layout it
-// replays.
+// flat worker pool with shared address spaces and pooled engines. A job is
+// one distinct layout of one span: layouts whose pool configurations
+// resolve to the same address space (sim.SpaceKey) replay the same trace on
+// the same machine and space, so only the first of them is replayed; each
+// later one receives a copy of its result once the pool drains.
 func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Sampling, onProgress func(sim.Progress)) error {
 	spaces := sim.NewSpaceCache(physMem)
 	spaces.Timing = &r.timing
 	type job struct {
-		span      *replaySpan
-		idx       []int    // distinct layout indices the job replays
-		spaceKeys []string // one per index
+		span     *replaySpan
+		idx      int    // the layout the job replays
+		spaceKey string // its registered space
 	}
 	type alias struct {
 		span     *replaySpan
 		dst, src int // layout dst takes layout src's result
 	}
-	distinct := make([][]int, len(spans))
+	var jobs []job
 	var aliases []alias
-	totalDistinct := 0
 	for i := range spans {
 		sp := &spans[i]
 		first := make(map[string]int, len(sp.lays))
@@ -707,58 +682,28 @@ func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Samp
 				continue
 			}
 			first[key] = k
-			distinct[i] = append(distinct[i], k)
-		}
-		totalDistinct += len(distinct[i])
-	}
-	replayWorkers := max(1, r.Parallelism)
-	var jobs []job
-	for i := range spans {
-		sp := &spans[i]
-		size := batchSpan(sp.wd.Trace, totalDistinct, replayWorkers)
-		for lo := 0; lo < len(distinct[i]); lo += size {
-			idx := distinct[i][lo:min(lo+size, len(distinct[i]))]
-			keys := make([]string, len(idx))
-			for k, li := range idx {
-				keys[k] = spaces.Register(sp.lays[li].Cfg)
-			}
-			jobs = append(jobs, job{span: sp, idx: idx, spaceKeys: keys})
+			jobs = append(jobs, job{span: sp, idx: k, spaceKey: spaces.Register(lay.Cfg)})
 		}
 	}
-	sched := sim.Scheduler{Workers: replayWorkers, Stage: sim.StageReplay.String(), OnProgress: onProgress, Ctx: ctx}
+	sched := sim.Scheduler{Workers: max(1, r.Parallelism), Stage: sim.StageReplay.String(), OnProgress: onProgress, Ctx: ctx}
 	err := sched.Run(len(jobs),
 		func(i int) string {
 			j := jobs[i]
-			first, last := j.span.lays[j.idx[0]].Name, j.span.lays[j.idx[len(j.idx)-1]].Name
-			if len(j.idx) == 1 {
-				return j.span.key + "/" + first
-			}
-			return j.span.key + "/" + first + ".." + last
+			return j.span.key + "/" + j.span.lays[j.idx].Name
 		},
 		func(i int) error {
 			j := jobs[i]
-			defer func() {
-				for _, k := range j.spaceKeys {
-					spaces.Release(k)
-				}
-			}()
-			lays := make([]layout.Layout, len(j.idx))
-			batch := make([]*mem.AddressSpace, len(j.idx))
-			for k, li := range j.idx {
-				lays[k] = j.span.lays[li]
-				space, err := spaces.Get(j.spaceKeys[k], lays[k].Cfg)
-				if err != nil {
-					return fmt.Errorf("experiment: layout %s: %w", lays[k].Name, err)
-				}
-				batch[k] = space
+			defer spaces.Release(j.spaceKey)
+			lay := j.span.lays[j.idx]
+			space, err := spaces.Get(j.spaceKey, lay.Cfg)
+			if err != nil {
+				return fmt.Errorf("experiment: layout %s: %w", lay.Name, err)
 			}
-			results, err := r.replayBatch(j.span.wd, j.span.plat.Scaled(), lays, batch, s)
+			res, err := r.replay(j.span.wd, j.span.plat.Scaled(), lay, space, s)
 			if err != nil {
 				return err
 			}
-			for k, li := range j.idx {
-				j.span.out[li] = results[k]
-			}
+			j.span.out[j.idx] = res
 			return nil
 		})
 	if err != nil {
@@ -771,10 +716,6 @@ func (r *Runner) replayStage(ctx context.Context, spans []replaySpan, s sim.Samp
 	}
 	return nil
 }
-
-// batchSpan sizes replay jobs (sim.BatchSpan). Tests substitute it to
-// exercise fused batches on fixtures too small to fuse.
-var batchSpan = sim.BatchSpan
 
 // PairMeasurer binds one (workload, platform) pair of a Runner into a
 // layout-at-a-time measurement surface: Measure replays layouts at an

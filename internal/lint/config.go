@@ -34,7 +34,7 @@ func DefaultConfig() *Config {
 	return &Config{
 		// The simulation core: everything between a trace and a counter
 		// must be a pure function of its inputs, or counters stop being
-		// bit-identical across pooled/fused/sampled replay.
+		// bit-identical across pooled/sampled replay.
 		DetClockPackages: []string{
 			"internal/cpu",
 			"internal/partialsim",

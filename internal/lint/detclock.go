@@ -8,7 +8,7 @@ import (
 // the simulation core. Replay results must be pure functions of (trace,
 // platform, layout, sampling plan): a time.Now in a counter path or an
 // unseeded rand.Intn in a protocol makes "bit-identical across
-// pooled/fused/sampled replay" unfalsifiable. Scheduler ETA and metrics
+// pooled/sampled replay" unfalsifiable. Scheduler ETA and metrics
 // code opts out with a //mosvet:timing directive on the function's doc
 // comment; seeded generators (rand.New(rand.NewSource(seed))) are always
 // allowed — only the process-global generator is banned.

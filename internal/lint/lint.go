@@ -5,7 +5,7 @@
 // blocking I/O under serving locks, and allocation-free hot kernels.
 //
 // The analyzers move invariants that golden tests check late and only on
-// exercised paths ("counters are bit-identical across pooled/fused/sampled
+// exercised paths ("counters are bit-identical across pooled/sampled
 // replay", "model restore is bit-exact") to compile-time facts: a build
 // cannot merge if a simulation path reads the wall clock or a result
 // aggregation ranges over an unsorted map.

@@ -198,7 +198,7 @@ func Run(ctx context.Context, m Measurer, lays []layout.Layout, cfg Config, onSt
 		FullCostAccesses: uint64(len(lays)) * m.TraceLen(),
 	}
 
-	// Seed pass: probe every layout in one fused sampled replay.
+	// Seed pass: probe every layout in one sampled replay stage.
 	res, err := m.Measure(ctx, lays, probe)
 	if err != nil {
 		return nil, fmt.Errorf("plan: probe pass: %w", err)

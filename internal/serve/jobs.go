@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -379,9 +380,16 @@ func (m *JobManager) Submit(spec JobSpec) (*Job, error) {
 	case m.queue <- job:
 		return snap, nil
 	default:
+		// Other submits may have listed jobs since ours, so withdraw our
+		// own ID rather than the last one.
 		m.mu.Lock()
 		delete(m.jobs, job.ID)
-		m.order = m.order[:len(m.order)-1]
+		for i := len(m.order) - 1; i >= 0; i-- {
+			if m.order[i] == job.ID {
+				m.order = slices.Delete(m.order, i, i+1)
+				break
+			}
+		}
 		m.mu.Unlock()
 		cancel()
 		return nil, ErrQueueFull

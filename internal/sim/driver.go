@@ -9,8 +9,8 @@ import (
 // machine (*cpu.Machine) and the partial simulator (*partialsim.Simulator)
 // both implement it — the partial simulator is the full machine with the
 // timing model left out (the paper's Figure 1). Each kernel owns its
-// in-flight replay state, so the driver holds none and kernels of either
-// kind fuse freely in one batch.
+// in-flight replay state, so the driver holds none; one driver call
+// advances one kernel.
 type kernel interface {
 	// Begin starts a replay from the kernel's current component state with
 	// zeroed counters; sampled selects window-delta stat accounting.
@@ -27,16 +27,10 @@ type kernel interface {
 	Harvest() (pmu.Counters, uint64)
 }
 
-// FuseBlock is the number of accesses the driver replays per kernel before
-// advancing to the next kernel of a batch: large enough to amortize the
-// per-kernel switch, small enough that the block's trace columns (~50KB)
-// stay cache-resident while every kernel in the batch streams them.
-const FuseBlock = 262144
-
 // span is the replay schedule one driver call walks.
 type span struct {
 	windows []trace.Window
-	// savePos lists trace positions, ascending, at which to harvest every
+	// savePos lists trace positions, ascending, at which to harvest the
 	// kernel's cumulative counters. Each must be some window's Hi — a
 	// phase's prologue end or phase end always is — and is harvested right
 	// after that window closes; any other position is never harvested.
@@ -49,102 +43,70 @@ type span struct {
 
 // harvest is one driver call's output.
 type harvest struct {
-	ctrs []Result
-	// pro holds each kernel's counters as of the end of the first
-	// measurement window — the prologue stratum of a sampled replay (nil
-	// without sampled accounting).
-	pro []Result
-	// saved is indexed [savePos][kernel]: each kernel's cumulative
-	// counters at that position. A position the windows never reach stays
-	// nil.
-	saved    [][]Result
+	ctrs Result
+	// pro holds the counters as of the end of the first measurement
+	// window — the prologue stratum of a sampled replay (zero without
+	// sampled accounting).
+	pro Result
+	// saved holds the cumulative counters at each reached save position,
+	// in savePos order. Positions are harvested in order, so the reached
+	// ones are a prefix of savePos.
+	saved    []Result
 	measured uint64 // accesses inside measurement windows
 }
 
-// drive is the one replay loop: it walks the span's windows block by
-// block, replaying each block through every kernel before touching the
-// next, so the trace is decoded once per block for the whole batch.
-// Kernels share no mutable state and each sees the same windows in order,
-// so every kernel's counters are bit-identical to a solo replay.
+// drive is the one replay loop: it walks the span's windows in order,
+// warming the kernel through each warmup window and measuring each
+// measurement window in one call.
 //
 //mosvet:hotpath
-func drive(ks []kernel, tr *trace.Trace, sp span) (harvest, error) {
+func drive(kn kernel, tr *trace.Trace, sp span) (harvest, error) {
 	var out harvest
-	for _, kn := range ks {
-		kn.Begin(sp.sampled)
-	}
+	kn.Begin(sp.sampled)
 	if len(sp.savePos) > 0 {
-		out.saved = make([][]Result, len(sp.savePos))
+		out.saved = make([]Result, 0, len(sp.savePos))
 	}
 	cols := tr.Columns()
 	si := 0
+	proDone := false
 	for _, w := range sp.windows {
 		if w.Measure {
 			out.measured += uint64(w.Len())
-		}
-		for lo := w.Lo; lo < w.Hi; lo += FuseBlock {
-			hi := min(lo+FuseBlock, w.Hi)
-			for _, kn := range ks {
-				if !w.Measure {
-					if err := kn.Warm(tr.Name, cols, lo, hi); err != nil {
-						return out, err
-					}
-					continue
-				}
-				if sp.sampled && lo == w.Lo {
-					kn.OpenWindow()
-				}
-				if err := kn.Measure(tr.Name, cols, lo, hi); err != nil {
-					return out, err
-				}
-				if sp.sampled && hi == w.Hi {
-					kn.CloseWindow()
-				}
+			if sp.sampled {
+				kn.OpenWindow()
 			}
+			if err := kn.Measure(tr.Name, cols, w.Lo, w.Hi); err != nil {
+				return out, err
+			}
+			if sp.sampled {
+				kn.CloseWindow()
+			}
+		} else if err := kn.Warm(tr.Name, cols, w.Lo, w.Hi); err != nil {
+			return out, err
 		}
 		for si < len(sp.savePos) && sp.savePos[si] == w.Hi {
-			out.saved[si] = harvestAll(ks)
+			out.saved = append(out.saved, harvestOne(kn))
 			si++
 		}
-		if sp.sampled && w.Measure && out.pro == nil {
-			out.pro = harvestAll(ks)
+		if sp.sampled && w.Measure && !proDone {
+			out.pro = harvestOne(kn)
+			proDone = true
 		}
 	}
-	out.ctrs = harvestAll(ks)
+	out.ctrs = harvestOne(kn)
 	return out, nil
 }
 
-func harvestAll(ks []kernel) []Result {
-	out := make([]Result, len(ks))
-	for k, kn := range ks {
-		out[k].Counters, out[k].WalkRefs = kn.Harvest()
-	}
-	return out
+func harvestOne(kn kernel) Result {
+	var r Result
+	r.Counters, r.WalkRefs = kn.Harvest()
+	return r
 }
 
-// kernels returns the batch's replay kernels, each synced to its engine's
-// fidelity settings.
-func kernels(engines []Engine) []kernel {
-	ks := make([]kernel, len(engines))
-	for k, e := range engines {
-		ks[k] = e.kernel()
-	}
-	return ks
-}
-
-// RunBatch replays one trace through several engines — one per layout of a
-// sweep's protocol, of either kind — in a single fused driver call under a
-// shared sampling config (the zero Sampling is exact replay). Results are
-// bit-identical to replaying each engine alone: engines share no mutable
-// state, fusion only re-orders which engine touches which trace block
-// first, and the window schedule is purely positional, so every engine of
-// a fused batch measures the same windows a solo run would. Callers size
-// batches with BatchSpan, so a batch of more than one engine exists only
-// when its trace is large enough for fusion to pay. A multi-phase trace
-// replays its phased schedule and carries per-phase attribution (see
-// phases.go).
-func RunBatch(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
-	ks := kernels(engines)
+// run replays one trace through one kernel under a sampling config (the
+// zero Sampling is exact replay). A multi-phase trace replays its phased
+// schedule and carries per-phase attribution (see phases.go).
+func run(kn kernel, tr *trace.Trace, s Sampling) (Result, error) {
 	n := tr.Len()
 	phases := tr.Phases()
 	windows := s.Plan().PhasedWindows(phases, n)
@@ -152,15 +114,15 @@ func RunBatch(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
 		// Window-delta accounting even for exact plans: the phase-boundary
 		// harvests need the component sums.
 		metas, positions := phasedMeta(s.Plan(), phases, n)
-		out, err := drive(ks, tr, span{windows: windows, savePos: positions, sampled: true})
+		out, err := drive(kn, tr, span{windows: windows, savePos: positions, sampled: true})
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		return assemblePhased(s, metas, n, len(ks), savedByPos(positions, out.saved))
+		return assemblePhased(s, metas, n, savedByPos(positions, out.saved))
 	}
-	out, err := drive(ks, tr, span{windows: windows, sampled: s.Enabled()})
+	out, err := drive(kn, tr, span{windows: windows, sampled: s.Enabled()})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	return s.estimate(out.ctrs, out.pro, out.measured, n), nil
 }

@@ -93,16 +93,6 @@ type Engine interface {
 	kernel() kernel
 }
 
-// runOne replays a trace through a single engine. A multi-phase trace
-// carries per-phase attribution.
-func runOne(e Engine, tr *trace.Trace, s Sampling) (Result, error) {
-	rs, err := RunBatch([]Engine{e}, tr, s)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
 // Full wraps the full timing machine (internal/cpu) as an Engine.
 type Full struct {
 	m *cpu.Machine
@@ -129,10 +119,10 @@ func (f *Full) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 }
 
 // Run implements Engine.
-func (f *Full) Run(tr *trace.Trace) (Result, error) { return runOne(f, tr, Sampling{}) }
+func (f *Full) Run(tr *trace.Trace) (Result, error) { return run(f.kernel(), tr, Sampling{}) }
 
 // RunSampled implements Engine.
-func (f *Full) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { return runOne(f, tr, s) }
+func (f *Full) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { return run(f.kernel(), tr, s) }
 
 func (f *Full) kernel() kernel { return f.m }
 
@@ -168,10 +158,12 @@ func (p *Partial) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 }
 
 // Run implements Engine.
-func (p *Partial) Run(tr *trace.Trace) (Result, error) { return runOne(p, tr, Sampling{}) }
+func (p *Partial) Run(tr *trace.Trace) (Result, error) { return run(p.kernel(), tr, Sampling{}) }
 
 // RunSampled implements Engine.
-func (p *Partial) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { return runOne(p, tr, s) }
+func (p *Partial) RunSampled(tr *trace.Trace, s Sampling) (Result, error) {
+	return run(p.kernel(), tr, s)
+}
 
 // kernel is the one place HighFidelity reaches the simulator.
 func (p *Partial) kernel() kernel {

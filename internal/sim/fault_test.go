@@ -31,26 +31,19 @@ func faultTrace(size uint64, n, bad int, phased bool) (*trace.Trace, uint64) {
 	return b.Trace(), uint64(badVA)
 }
 
-// TestFaultTypedOnEveryPath: whatever path replays a batch — engine k
-// alone, fused, or phased — a fault in engine k surfaces as a
-// *cpu.FaultError naming the trace, the access index, and the faulting
-// address, for either engine kind.
+// TestFaultTypedOnEveryPath: whether an engine replays a trace exactly or
+// phased, a fault surfaces as a *cpu.FaultError naming the trace, the
+// access index, and the faulting address, for either engine kind.
 func TestFaultTypedOnEveryPath(t *testing.T) {
-	const n, bad, k = 300000, 299000, 1
+	const n, bad = 300000, 299000
 	size := uint64(64 << 20)
-	full := buildTestSpace(t, size, mem.Page4K)
 	half := buildTestSpace(t, size/2, mem.Page4K)
-	spaces := []*mem.AddressSpace{full, half, full}
 
 	for _, kind := range []string{"full", "partial"} {
-		for _, path := range []string{"solo", "fused", "phased"} {
+		for _, path := range []string{"solo", "phased"} {
 			t.Run(kind+"/"+path, func(t *testing.T) {
-				batch := spaces
-				if path == "solo" {
-					batch = spaces[k : k+1]
-				}
 				tr, badVA := faultTrace(size, n, bad, path == "phased")
-				_, err := RunBatch(sampledTestEngines(t, kind, batch), tr, Sampling{})
+				_, err := sampledTestEngines(t, kind, []*mem.AddressSpace{half})[0].Run(tr)
 				var fe *cpu.FaultError
 				if !errors.As(err, &fe) {
 					t.Fatalf("error %v (%T), want *cpu.FaultError", err, err)

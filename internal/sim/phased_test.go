@@ -121,7 +121,7 @@ func TestPhasedFullCoverageSampledIsExact(t *testing.T) {
 	tr := phasedSimTrace(32, size, 120000)
 	full := Sampling{Period: 4096, MeasureLen: 4096, PrologueLen: 8192}
 
-	for _, kind := range []string{"full", "partial"} {
+	for _, kind := range []string{"full", "partial", "partial-hifi"} {
 		space := buildTestSpace(t, size, mem.Page4K)
 		exact, err := sampledTestEngines(t, kind, []*mem.AddressSpace{space})[0].Run(tr)
 		if err != nil {
@@ -146,90 +146,71 @@ func TestPhasedFullCoverageSampledIsExact(t *testing.T) {
 	}
 }
 
-// TestPhasedFusedMatchesSolo: the fused phased batch must be bit-identical
-// to each engine replaying alone — including the phase rows — sampling on
-// and off, for batches of one kind and for a batch mixing full, partial, and
-// high-fidelity partial engines.
-func TestPhasedFusedMatchesSolo(t *testing.T) {
-	size := uint64(64 << 20)
-	spaces := batchTestSpaces(t, size)
-	tr := phasedSimTrace(33, size, 150000)
-
-	for _, kind := range []string{"full", "partial", "partial-hifi", "mixed"} {
-		for _, s := range []Sampling{
-			{},
-			{Period: 16384, MeasureLen: 1024, WarmupLen: 2048, PrologueLen: 8192},
-		} {
-			batch, err := RunBatch(sampledTestEngines(t, kind, spaces), tr, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range spaces {
-				soloKind := kind
-				if kind == "mixed" {
-					soloKind = mixedKinds[i%len(mixedKinds)]
-				}
-				solo, err := sampledTestEngines(t, soloKind, spaces[i:i+1])[0].RunSampled(tr, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !batch[i].Equal(solo) {
-					t.Errorf("%s sampled=%v engine %d: fused %+v, solo %+v",
-						kind, s.Enabled(), i, batch[i], solo)
-				}
-			}
-			if len(batch[0].Phases) != 3 {
-				t.Fatalf("%s: batch result carries %d phases, want 3", kind, len(batch[0].Phases))
-			}
-		}
-	}
-}
-
 // TestPhasedSampledEstimatesPerPhase: under real (partial-coverage)
-// sampling each phase's estimate must stay within a loose envelope of that
-// phase's exact counters — the sim-layer smoke check behind the root
-// accuracy contract — and regime contrast must survive extrapolation.
+// sampling, for every engine kind and layout, the phase rows must partition
+// the headline result and its coverage, and each phase's estimate must stay
+// within a loose envelope of that phase's exact counters — the sim-layer
+// smoke check behind the root accuracy contract.
 func TestPhasedSampledEstimatesPerPhase(t *testing.T) {
+	// A phase with a handful of misses (huge pages) extrapolates them with
+	// a large relative error; the envelope bounds only counts this large.
+	const minResolvable = 1000
 	size := uint64(64 << 20)
 	tr := phasedSimTrace(34, size, 600000)
 	s := Sampling{Period: 16384, MeasureLen: 1536, WarmupLen: 4096, PrologueLen: 8192}
 
-	space := buildTestSpace(t, size, mem.Page4K)
-	exact, err := sampledTestEngines(t, "full", []*mem.AddressSpace{space})[0].Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sampledTestEngines(t, "full", []*mem.AddressSpace{space})[0].RunSampled(tr, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MeasuredAccesses == 0 || got.MeasuredAccesses >= got.TotalAccesses {
-		t.Fatalf("sampling did not engage: %d/%d", got.MeasuredAccesses, got.TotalAccesses)
-	}
-	for i, ph := range got.Phases {
-		ex := exact.Phases[i]
-		if ph.TotalAccesses == 0 || ph.MeasuredAccesses >= ph.TotalAccesses {
-			t.Fatalf("phase %q: sampling did not engage (%d/%d)",
-				ph.Name, ph.MeasuredAccesses, ph.TotalAccesses)
-		}
-		for _, c := range []struct {
-			name       string
-			got, exact uint64
-		}{
-			{"M", ph.Counters.M, ex.Counters.M},
-			{"TLBLookups", ph.Counters.TLBLookups, ex.Counters.TLBLookups},
-			{"Instructions", ph.Counters.Instructions, ex.Counters.Instructions},
-		} {
-			if c.exact == 0 {
-				continue
+	for _, kind := range []string{"full", "partial", "partial-hifi"} {
+		for li, space := range layoutTestSpaces(t, size) {
+			exact, err := sampledTestEngines(t, kind, []*mem.AddressSpace{space})[0].Run(tr)
+			if err != nil {
+				t.Fatal(err)
 			}
-			rel := float64(c.got) - float64(c.exact)
-			if rel < 0 {
-				rel = -rel
+			got, err := sampledTestEngines(t, kind, []*mem.AddressSpace{space})[0].RunSampled(tr, s)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if rel/float64(c.exact) > 0.15 {
-				t.Errorf("phase %q %s: sampled %d vs exact %d (>15%% off)",
-					ph.Name, c.name, c.got, c.exact)
+			if got.MeasuredAccesses == 0 || got.MeasuredAccesses >= got.TotalAccesses {
+				t.Fatalf("%s layout %d: sampling did not engage: %d/%d",
+					kind, li, got.MeasuredAccesses, got.TotalAccesses)
+			}
+			if len(got.Phases) != 3 {
+				t.Fatalf("%s layout %d: %d phase rows, want 3", kind, li, len(got.Phases))
+			}
+			sum, measured, total := sumPhases(got)
+			if sum.Counters != got.Counters || sum.WalkRefs != got.WalkRefs {
+				t.Errorf("%s layout %d: phase rows sum to %+v, headline %+v",
+					kind, li, sum.Counters, got.Counters)
+			}
+			if measured != got.MeasuredAccesses || total != got.TotalAccesses {
+				t.Errorf("%s layout %d: phase coverage %d/%d, headline %d/%d",
+					kind, li, measured, total, got.MeasuredAccesses, got.TotalAccesses)
+			}
+			for i, ph := range got.Phases {
+				ex := exact.Phases[i]
+				if ph.TotalAccesses == 0 || ph.MeasuredAccesses >= ph.TotalAccesses {
+					t.Fatalf("%s layout %d phase %q: sampling did not engage (%d/%d)",
+						kind, li, ph.Name, ph.MeasuredAccesses, ph.TotalAccesses)
+				}
+				for _, c := range []struct {
+					name       string
+					got, exact uint64
+				}{
+					{"M", ph.Counters.M, ex.Counters.M},
+					{"TLBLookups", ph.Counters.TLBLookups, ex.Counters.TLBLookups},
+					{"Instructions", ph.Counters.Instructions, ex.Counters.Instructions},
+				} {
+					if c.exact < minResolvable {
+						continue
+					}
+					rel := float64(c.got) - float64(c.exact)
+					if rel < 0 {
+						rel = -rel
+					}
+					if rel/float64(c.exact) > 0.15 {
+						t.Errorf("%s layout %d phase %q %s: sampled %d vs exact %d (>15%% off)",
+							kind, li, ph.Name, c.name, c.got, c.exact)
+					}
+				}
 			}
 		}
 	}
@@ -248,16 +229,16 @@ func TestPhasedSavesCountersOnly(t *testing.T) {
 
 	for _, kind := range []string{"full", "partial"} {
 		alloc := func(tr *trace.Trace) uint64 {
-			engines := sampledTestEngines(t, kind, []*mem.AddressSpace{space})
+			eng := sampledTestEngines(t, kind, []*mem.AddressSpace{space})[0]
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			rs, err := RunBatch(engines, tr, Sampling{})
+			res, err := eng.Run(tr)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := len(tr.Phases()); len(rs[0].Phases) != want {
-				t.Fatalf("%s: %d phase rows, want %d", kind, len(rs[0].Phases), want)
+			if want := len(tr.Phases()); len(res.Phases) != want {
+				t.Fatalf("%s: %d phase rows, want %d", kind, len(res.Phases), want)
 			}
 			return after.TotalAlloc - before.TotalAlloc
 		}

@@ -9,11 +9,11 @@ import (
 )
 
 // Phased replay: a multi-phase trace (trace.Phases) carries regime markers,
-// and every replay entry point — Engine.Run/RunSampled and RunBatch —
-// attributes counters to each phase and, under sampling, extrapolates
+// and both replay entry points — Engine.Run and Engine.RunSampled —
+// attribute counters to each phase and, under sampling, extrapolate
 // within phase boundaries instead of across them.
 //
-// The mechanism is the driver's save positions: every engine's cumulative
+// The mechanism is the driver's save positions: the engine's cumulative
 // counters are harvested at each phase's prologue end and phase end, and
 // the field-wise difference of consecutive harvests is exactly the phase's
 // contribution. Replay runs under sampled (window-delta) stat accounting
@@ -45,7 +45,7 @@ type PhaseResult struct {
 
 // phaseMeta is the positional skeleton of one phase's schedule: the
 // save positions and coverage the per-phase estimator needs. Purely
-// positional, so every engine of a batch shares one meta set.
+// positional: it depends on the plan and the trace, not on the engine.
 type phaseMeta struct {
 	ph trace.Phase
 	// proHi is the end of the phase's first measurement window (the phase
@@ -107,53 +107,49 @@ func addCounters(dst *Result, src Result) {
 }
 
 // assemblePhased turns the counters harvested at each save position into
-// per-engine results with phase attribution: for each phase, the cumulative
+// one result with phase attribution: for each phase, the cumulative
 // counters at its prologue end and phase end are differenced against the
 // previous phase's end and extrapolated with the phase's own coverage; the
 // headline result is the sum of the per-phase estimates. Under exact
 // replay every phase is fully covered, extrapolation passes through, and
 // the sum telescopes to the exact whole-trace counters bit-identically.
-func assemblePhased(s Sampling, metas []phaseMeta, n, engines int,
-	saved map[int][]Result) ([]Result, error) {
-	out := make([]Result, engines)
-	for k := range out {
-		var prev, sum Result
-		var measuredSum uint64
-		phs := make([]PhaseResult, 0, len(metas))
-		for _, pm := range metas {
-			end, pro := saved[pm.endHi], saved[pm.proHi]
-			if end == nil || pro == nil {
-				return nil, fmt.Errorf("sim: phase %q boundary (%d, %d) was not harvested",
-					pm.ph.Name, pm.proHi, pm.endHi)
-			}
-			pr := s.extrapolate(subResult(end[k], prev), subResult(pro[k], prev),
-				pm.proMeasured, pm.measured, uint64(pm.ph.Len()))
-			phs = append(phs, PhaseResult{
-				Name:             pm.ph.Name,
-				Counters:         pr.Counters,
-				WalkRefs:         pr.WalkRefs,
-				MeasuredAccesses: pr.MeasuredAccesses,
-				TotalAccesses:    pr.TotalAccesses,
-			})
-			addCounters(&sum, pr)
-			measuredSum += pm.measured
-			prev = end[k]
+func assemblePhased(s Sampling, metas []phaseMeta, n int, saved map[int]Result) (Result, error) {
+	var prev, sum Result
+	var measuredSum uint64
+	phs := make([]PhaseResult, 0, len(metas))
+	for _, pm := range metas {
+		end, endOK := saved[pm.endHi]
+		pro, proOK := saved[pm.proHi]
+		if !endOK || !proOK {
+			return Result{}, fmt.Errorf("sim: phase %q boundary (%d, %d) was not harvested",
+				pm.ph.Name, pm.proHi, pm.endHi)
 		}
-		sum.Phases = phs
-		if s.Enabled() {
-			sum.MeasuredAccesses = measuredSum
-			sum.TotalAccesses = uint64(n)
-		}
-		out[k] = sum
+		pr := s.extrapolate(subResult(end, prev), subResult(pro, prev),
+			pm.proMeasured, pm.measured, uint64(pm.ph.Len()))
+		phs = append(phs, PhaseResult{
+			Name:             pm.ph.Name,
+			Counters:         pr.Counters,
+			WalkRefs:         pr.WalkRefs,
+			MeasuredAccesses: pr.MeasuredAccesses,
+			TotalAccesses:    pr.TotalAccesses,
+		})
+		addCounters(&sum, pr)
+		measuredSum += pm.measured
+		prev = end
 	}
-	return out, nil
+	sum.Phases = phs
+	if s.Enabled() {
+		sum.MeasuredAccesses = measuredSum
+		sum.TotalAccesses = uint64(n)
+	}
+	return sum, nil
 }
 
 // savedByPos indexes the driver's harvests by save position.
-func savedByPos(positions []int, saved [][]Result) map[int][]Result {
-	m := make(map[int][]Result, len(positions))
-	for i, pos := range positions {
-		m[pos] = saved[i]
+func savedByPos(positions []int, saved []Result) map[int]Result {
+	m := make(map[int]Result, len(saved))
+	for i, r := range saved {
+		m[positions[i]] = r
 	}
 	return m
 }

@@ -26,6 +26,15 @@ func (k Kind) String() string {
 	return "full"
 }
 
+// maxIdle caps the idle engines Put retains per (kind, platform) bucket.
+// A sweep holds at most one engine per worker, but callers outside a
+// sweep — concurrent Runner.RunLayout and Runner.PartialSimulate calls,
+// such as a daemon's training jobs — each take an engine of their own and
+// return it afterwards. Without a cap a burst of them would leave the pool
+// pinning up to a megabyte of TLB/cache arrays per engine for the rest of
+// the process; with it, engines beyond the cap go to the GC.
+const maxIdle = 16
+
 type poolKey struct {
 	kind Kind
 	plat string
@@ -34,11 +43,9 @@ type poolKey struct {
 // Pool recycles engines across replays. Engines are keyed by (kind,
 // platform name): a Get for a platform that has an idle engine Resets and
 // returns it — reusing its set-associative TLB/cache arrays — instead of
-// allocating a new machine. Put retains at most maxBatch idle engines per
-// (kind, platform), so a fused batch's engines round-trip through the pool
-// intact; engines beyond that are dropped for the GC rather than pinning
-// up to a megabyte of TLB/cache arrays each for the rest of the process.
-// The zero Pool is ready to use.
+// allocating a new machine. Put retains at most maxIdle idle engines per
+// (kind, platform) and drops the rest for the GC. The zero Pool is ready
+// to use.
 type Pool struct {
 	mu   sync.Mutex
 	free map[poolKey][]Engine
@@ -103,7 +110,7 @@ func (p *Pool) Put(e Engine) {
 	key := poolKey{kind: kind, plat: e.Platform().Name}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free[key]) >= maxBatch {
+	if len(p.free[key]) >= maxIdle {
 		return
 	}
 	if p.free == nil {

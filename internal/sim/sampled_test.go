@@ -8,20 +8,12 @@ import (
 	"mosaic/internal/trace"
 )
 
-// mixedKinds is the engine-kind cycle of a "mixed" test batch.
-var mixedKinds = []string{"full", "partial", "partial-hifi"}
-
 // sampledTestEngines builds one engine per test space in the requested
-// configuration: kind "full", "partial", or "partial-hifi", or "mixed" to
-// cycle engine i through mixedKinds[i%3].
+// configuration: kind "full", "partial", or "partial-hifi".
 func sampledTestEngines(t *testing.T, kind string, spaces []*mem.AddressSpace) []Engine {
 	t.Helper()
 	engines := make([]Engine, len(spaces))
 	for i, space := range spaces {
-		if kind == "mixed" {
-			engines[i] = sampledTestEngines(t, mixedKinds[i%len(mixedKinds)], spaces[i:i+1])[0]
-			continue
-		}
 		switch kind {
 		case "full":
 			eng, err := NewFull(arch.Broadwell, space)
@@ -41,6 +33,18 @@ func sampledTestEngines(t *testing.T, kind string, spaces []*mem.AddressSpace) [
 	return engines
 }
 
+// layoutTestSpaces builds one space per layout of a small "protocol": the
+// same window backed by 4KB, 2MB, and 1GB pages.
+func layoutTestSpaces(t *testing.T, size uint64) []*mem.AddressSpace {
+	t.Helper()
+	return []*mem.AddressSpace{
+		buildTestSpace(t, size, mem.Page4K),
+		buildTestSpace(t, size, mem.Page2M),
+		buildTestSpace(t, size, mem.Page1G),
+		buildTestSpace(t, size, mem.Page4K),
+	}
+}
+
 // exactEqual compares the replay payload of two results — counters and walk
 // refs — ignoring the sampled-coverage bookkeeping fields.
 func exactEqual(a, b Result) bool {
@@ -49,10 +53,10 @@ func exactEqual(a, b Result) bool {
 
 // TestSampledDisabledIsExact: RunSampled with the zero config must be
 // bit-identical to Run — including the zero bookkeeping fields — for both
-// engine kinds and both partial-fidelity modes, solo and fused.
+// engine kinds and both partial-fidelity modes.
 func TestSampledDisabledIsExact(t *testing.T) {
 	size := uint64(64 << 20)
-	spaces := batchTestSpaces(t, size)
+	spaces := layoutTestSpaces(t, size)
 	tr := testTrace(11, size, 30000)
 
 	for _, kind := range []string{"full", "partial", "partial-hifi"} {
@@ -73,16 +77,6 @@ func TestSampledDisabledIsExact(t *testing.T) {
 				t.Errorf("%s engine %d: RunSampled(off) %+v, Run %+v", kind, i, got, want[i])
 			}
 		}
-
-		got, err := RunBatch(sampledTestEngines(t, kind, spaces), tr, Sampling{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Errorf("%s engine %d: fused(off) %+v, Run %+v", kind, i, got[i], want[i])
-			}
-		}
 	}
 }
 
@@ -92,7 +86,7 @@ func TestSampledDisabledIsExact(t *testing.T) {
 // while still recording full coverage in the bookkeeping fields.
 func TestSampledFullCoverageIsExact(t *testing.T) {
 	size := uint64(64 << 20)
-	spaces := batchTestSpaces(t, size)
+	spaces := layoutTestSpaces(t, size)
 	tr := testTrace(12, size, 30000)
 	cover := Sampling{Period: 1024, MeasureLen: 1024, WarmupLen: 256}
 
@@ -108,65 +102,17 @@ func TestSampledFullCoverageIsExact(t *testing.T) {
 			t.Fatal("test trace should miss the TLB, or the test proves nothing")
 		}
 
-		check := func(label string, got []Result) {
-			t.Helper()
-			for i := range want {
-				if !exactEqual(got[i], want[i]) {
-					t.Errorf("%s engine %d (%s): sampled %+v, exact %+v", kind, i, label, got[i], want[i])
-				}
-				if got[i].MeasuredAccesses != uint64(tr.Len()) || got[i].TotalAccesses != uint64(tr.Len()) {
-					t.Errorf("%s engine %d (%s): coverage %d/%d, want %d/%d", kind, i, label,
-						got[i].MeasuredAccesses, got[i].TotalAccesses, tr.Len(), tr.Len())
-				}
-			}
-		}
-
-		solo := make([]Result, len(spaces))
 		for i, e := range sampledTestEngines(t, kind, spaces) {
-			var err error
-			if solo[i], err = e.RunSampled(tr, cover); err != nil {
+			got, err := e.RunSampled(tr, cover)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		check("solo", solo)
-
-		fused, err := RunBatch(sampledTestEngines(t, kind, spaces), tr, cover)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("fused", fused)
-	}
-}
-
-// TestSampledBatchMatchesSolo: under a real (partial-coverage) sampling
-// config, the fused batch kernels must produce results bit-identical to
-// running each engine's RunSampled alone — fusion and sampling compose.
-func TestSampledBatchMatchesSolo(t *testing.T) {
-	size := uint64(64 << 20)
-	spaces := batchTestSpaces(t, size)
-	tr := testTrace(13, size, 30000)
-	s := Sampling{Period: 2048, MeasureLen: 256, WarmupLen: 256}
-
-	for _, kind := range []string{"full", "partial", "partial-hifi"} {
-		want := make([]Result, len(spaces))
-		for i, e := range sampledTestEngines(t, kind, spaces) {
-			var err error
-			if want[i], err = e.RunSampled(tr, s); err != nil {
-				t.Fatal(err)
+			if !exactEqual(got, want[i]) {
+				t.Errorf("%s engine %d: sampled %+v, exact %+v", kind, i, got, want[i])
 			}
-		}
-		if want[0].MeasuredAccesses == 0 || want[0].MeasuredAccesses >= want[0].TotalAccesses {
-			t.Fatalf("config should sample a strict subset, got %d/%d",
-				want[0].MeasuredAccesses, want[0].TotalAccesses)
-		}
-
-		got, err := RunBatch(sampledTestEngines(t, kind, spaces), tr, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Errorf("%s engine %d: fused %+v, solo %+v", kind, i, got[i], want[i])
+			if got.MeasuredAccesses != uint64(tr.Len()) || got.TotalAccesses != uint64(tr.Len()) {
+				t.Errorf("%s engine %d: coverage %d/%d, want %d/%d", kind, i,
+					got.MeasuredAccesses, got.TotalAccesses, tr.Len(), tr.Len())
 			}
 		}
 	}
@@ -233,20 +179,20 @@ func TestSampledExtrapolationTracksExact(t *testing.T) {
 	}
 }
 
-// TestPoolCapsIdleEngines: Put must retain at most maxBatch engines per
+// TestPoolCapsIdleEngines: Put must retain at most maxIdle engines per
 // (kind, platform) bucket and drop the excess.
 func TestPoolCapsIdleEngines(t *testing.T) {
 	space := buildTestSpace(t, 1<<20, mem.Page4K)
 	var p Pool
-	for i := 0; i < maxBatch+5; i++ {
+	for i := 0; i < maxIdle+5; i++ {
 		eng, err := NewFull(arch.SandyBridge, space)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Put(eng)
 	}
-	if got := p.Idle(); got != maxBatch {
-		t.Errorf("cap retained %d idle engines, want %d", got, maxBatch)
+	if got := p.Idle(); got != maxIdle {
+		t.Errorf("cap retained %d idle engines, want %d", got, maxIdle)
 	}
 	// Other buckets have their own budget.
 	part, err := NewPartial(arch.SandyBridge, space)
@@ -254,8 +200,8 @@ func TestPoolCapsIdleEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Put(part)
-	if got := p.Idle(); got != maxBatch+1 {
-		t.Errorf("after partial Put: %d idle engines, want %d", got, maxBatch+1)
+	if got := p.Idle(); got != maxIdle+1 {
+		t.Errorf("after partial Put: %d idle engines, want %d", got, maxIdle+1)
 	}
 }
 

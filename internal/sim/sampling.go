@@ -19,8 +19,8 @@ import (
 // as-is, and only the periodic windows' counts are scaled up to cover the
 // remainder of the trace. Result records the coverage so downstream
 // consumers can tell estimates from exact measurements. The schedule is
-// purely positional (trace.SamplePlan), so sampling composes with the fused
-// multi-layout kernels: every engine of a batch measures the same windows.
+// purely positional (trace.SamplePlan): every engine replaying a trace under
+// one config measures the same windows, whatever its layout.
 type Sampling struct {
 	// Period is the distance between measurement-window starts, in
 	// accesses. Zero or negative disables sampling.
@@ -132,20 +132,13 @@ func (s Sampling) extrapolate(res, pro Result, proMeasured, measured, total uint
 	return res
 }
 
-// estimate turns a driver harvest into whole-trace results: under sampling
-// each engine's windowed counters are extrapolated against its prologue
+// estimate turns a driver harvest into a whole-trace result: under
+// sampling the windowed counters are extrapolated against the prologue
 // stratum; exact counters pass through unchanged.
-func (s Sampling) estimate(ctrs, pro []Result, measured uint64, n int) []Result {
+func (s Sampling) estimate(ctrs, pro Result, measured uint64, n int) Result {
 	if !s.Enabled() {
 		return ctrs
 	}
 	proMeasured := uint64(s.Plan().PrologueMeasured(n))
-	for i := range ctrs {
-		var p Result
-		if pro != nil {
-			p = pro[i]
-		}
-		ctrs[i] = s.extrapolate(ctrs[i], p, proMeasured, measured, uint64(n))
-	}
-	return ctrs
+	return s.extrapolate(ctrs, pro, proMeasured, measured, uint64(n))
 }

@@ -327,3 +327,35 @@ func TestTimingSnapshot(t *testing.T) {
 		t.Fatal("stage names")
 	}
 }
+
+// TestMixedBatchFallsBack: the two engine kinds replaying the same trace
+// each report their own counters — the full machine reports runtime, the
+// partial simulator reports none but still counts TLB misses.
+func TestMixedBatchFallsBack(t *testing.T) {
+	size := uint64(32 << 20)
+	space := buildTestSpace(t, size, mem.Page4K)
+	tr := testTrace(6, size, 10000)
+
+	full, err := NewFull(arch.SandyBridge, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := NewPartial(arch.SandyBridge, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := full.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := part.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Counters.R == 0 {
+		t.Error("full engine should report runtime")
+	}
+	if pr.Counters.R != 0 || pr.Counters.M == 0 {
+		t.Errorf("partial engine result %+v", pr)
+	}
+}

@@ -32,8 +32,7 @@ type Columns struct {
 func (c *Columns) Len() int { return len(c.va) }
 
 // Bytes returns the in-memory footprint of the columns: the quantity a
-// replay pass actually streams, which is what decides whether fusing
-// several replays over one trace pass is worthwhile (see sim.BatchSpan).
+// replay pass streams, and what a trace costs to hold in memory.
 func (c *Columns) Bytes() int {
 	return 8*len(c.va) + 4*len(c.gap) + 8*len(c.write) + 8*len(c.dep)
 }

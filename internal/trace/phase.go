@@ -11,8 +11,9 @@ import "fmt"
 // one regime's measured windows over another regime's accesses.
 //
 // Phases are purely positional — like SamplePlan they depend only on access
-// indices — so every engine of a fused batch sees identical phase
-// boundaries and phased replay composes with fusion and windowing.
+// indices — so every engine replaying a trace sees identical phase
+// boundaries, whatever its layout, and phased replay composes with
+// windowing.
 
 // Phase is one contiguous regime [Lo, Hi) of a trace's accesses.
 type Phase struct {

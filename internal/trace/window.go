@@ -5,8 +5,8 @@ package trace
 // of each fixed-length period, runs a functional warmup over the accesses
 // immediately preceding each window, and skips the rest entirely. The
 // schedule is purely positional — it depends only on the trace length — so
-// every engine of a fused batch (the replay driver in internal/sim) replays
-// the exact same windows and fusion composes with sampling.
+// every engine the replay driver in internal/sim advances over a trace
+// replays the exact same windows, whatever its layout.
 
 // Window is one scheduled interval of accesses [Lo, Hi). Measure selects
 // full measurement; otherwise the interval is functional warmup — model
